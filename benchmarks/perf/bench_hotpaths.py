@@ -1,12 +1,10 @@
 """Hot-path perf microbenchmarks (the ``repro bench`` suite under pytest).
 
 Runs the quick configuration of :func:`repro.bench.run_hotpath_suite` —
-incremental sync vs full resync, argpartition vs argsort BFA scoring,
-vectorized vs legacy nn kernels (forward_backward / bfa_iteration),
-row-batched vs per-bit multi-bit hammer windows, controller fast path on
-vs off for the hammer window and the fig6 swap chain, and defended vs
-undefended window cost — writes the payload to the report sink, and
-asserts every before/after pair kept functional parity.
+incremental sync vs full resync, row-batched vs per-bit multi-bit
+hammer windows, vectorized vs pure-Python RADAR sweeps, and the
+defended-window and timing-observer overheads — writes the payload to
+the report sink, and asserts every pair kept functional parity.
 
 Run directly for the command-line experience::
 
@@ -23,4 +21,4 @@ def test_hotpath_suite_quick(report_sink):
     # wall-clock ratios are recorded in the JSON for trend review rather
     # than asserted, so machine load cannot flake the smoke run.
     for name, entry in payload["summary"].items():
-        assert entry["parity"], f"{name}: fast/slow paths disagree"
+        assert entry["parity"], f"{name}: the two paths disagree"

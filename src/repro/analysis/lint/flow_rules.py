@@ -87,7 +87,6 @@ _RNG_CONSTRUCTORS = {
 
 _ENV_ACCESSORS = {
     "repro.utils.env.env_str",
-    "repro.utils.env.env_flag",
     "repro.utils.env.env_float",
 }
 

@@ -183,7 +183,7 @@ _ENVIRON_MUTATORS = {"pop", "setdefault", "update", "clear"}
     name="raw-environ-read",
     summary="raw os.environ/os.getenv read outside the sanctioned "
             "accessor module",
-    hint="read through repro.utils.env (env_str/env_flag/env_float) so the "
+    hint="read through repro.utils.env (env_str/env_float) so the "
          "worker-env contract stays auditable; coordinator extras are the "
          "only env workers inherit",
     rationale="PR 7's transport layer ships workers an explicit env "
@@ -360,8 +360,8 @@ def check_float_order_hazard(ctx):
         elif qual == "numpy.tensordot":
             yield node, (
                 "np.tensordot reorders the reduction relative to the "
-                "reference kernels — byte-parity with the legacy loops "
-                "is lost"
+                "einsum/matmul kernels — byte-parity with the committed "
+                "artifacts is lost"
             )
         elif isinstance(node.func, ast.Name) and node.func.id == "sum":
             target = node.args[0] if node.args else None

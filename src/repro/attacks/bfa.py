@@ -47,11 +47,6 @@ class BfaConfig:
     exact_eval_top: int = 8              # layers exact-evaluated per iteration
     eval_batch_size: int = 256
     min_estimated_gain: float = 0.0      # candidates must increase loss
-    # Fast candidate scoring: argpartition top-k over masked scores with a
-    # per-layer bit-delta cache, instead of a full argsort plus a Python
-    # rank scan per layer per iteration.  Parity-tested against the slow
-    # path; keep the flag so benchmarks and tests can compare both.
-    fast_scoring: bool = True
     # Micro-batch size for the per-iteration gradient pass
     # (:func:`repro.nn.train.loss_and_grads`): ``None`` is one full-batch
     # pass; a smaller value accumulates grads across slices so large
@@ -162,15 +157,7 @@ class BitFlipAttack:
         self.eval_x = attack_x if eval_x is None else eval_x
         self.eval_y = attack_y if eval_y is None else eval_y
         self.tried: set[BitLocation] = set()
-        # Per-layer skip counts: the candidate scan must look past every
-        # skipped bit before giving up on a layer (secured sets can cover
-        # entire rows' worth of top candidates).
-        self._skip_per_layer: dict[int, int] = {}
-        for location in self.skip:
-            self._skip_per_layer[location.layer] = (
-                self._skip_per_layer.get(location.layer, 0) + 1
-            )
-        # Fast-path state: a persistent per-layer boolean mask over the
+        # Scoring state: a persistent per-layer boolean mask over the
         # flat (weight, bit) space covering skip + tried bits, and a
         # bit-delta table cached per layer, invalidated by the layer's
         # mutation version (committed flips, collateral damage, restores).
@@ -227,7 +214,7 @@ class BitFlipAttack:
         return mask
 
     def _mark_tried(self, location: BitLocation) -> None:
-        """Record an attempted bit in both the set and the fast-path mask."""
+        """Record an attempted bit in both the set and the layer mask."""
         self.tried.add(location)
         mask = self._masks.get(location.layer)
         if mask is not None:
@@ -237,21 +224,18 @@ class BitFlipAttack:
         self, layer_index: int
     ) -> tuple[BitLocation, float] | None:
         """Intra-layer search: best estimated flip in one layer, or None."""
-        if self.config.fast_scoring:
-            candidates = self._layer_top_candidates(layer_index, 1)
-            return candidates[0] if candidates else None
-        return self._layer_best_candidate_argsort(layer_index)
+        candidates = self._layer_top_candidates(layer_index, 1)
+        return candidates[0] if candidates else None
 
     def _layer_top_candidates(
         self, layer_index: int, k: int
     ) -> list[tuple[BitLocation, float]]:
-        """Fast path: top-``k`` eligible flips by estimated gain.
+        """Top-``k`` eligible flips by estimated gain.
 
         Skip/tried bits are masked to ``-inf`` up front, so an
-        ``np.argpartition`` top-k over the masked scores replaces the full
-        argsort plus Python rank scan of the slow path.  Results match
-        :meth:`_layer_best_candidate_argsort` whenever scores are
-        tie-free (ties carry no preference in either path).
+        ``np.argpartition`` top-k over the masked scores needs no full
+        argsort and no Python rank scan past excluded bits.  Ties carry
+        no preference.
         """
         layer = self.qmodel.layer(layer_index)
         grad = layer.grad_flat().astype(np.float64)
@@ -271,32 +255,6 @@ class BitFlipAttack:
             index, bit = divmod(int(flat), 8)
             results.append((BitLocation(layer_index, index, bit), score))
         return results
-
-    def _layer_best_candidate_argsort(
-        self, layer_index: int
-    ) -> tuple[BitLocation, float] | None:
-        """Slow path: full argsort + rank scan (pre-optimization behaviour,
-        kept as the parity reference and the ``repro bench`` baseline)."""
-        layer = self.qmodel.layer(layer_index)
-        grad = layer.grad_flat().astype(np.float64)
-        deltas = self._bit_deltas(layer.weight_int) * layer.scale
-        scores = grad[:, None] * deltas        # estimated dL per (weight, bit)
-        if self._skip_columns is not None:
-            scores[:, self._skip_columns] = -np.inf
-        order = np.argsort(scores, axis=None)[::-1]
-        budget = 64 + self._skip_per_layer.get(layer_index, 0) + len(self.tried)
-        limit = min(order.size, budget)
-        for rank in range(limit):
-            flat = int(order[rank])
-            index, bit = divmod(flat, 8)
-            score = float(scores.flat[flat])
-            if score <= self.config.min_estimated_gain:
-                return None
-            location = BitLocation(layer_index, index, bit)
-            if location in self.skip or location in self.tried:
-                continue
-            return location, score
-        return None
 
     def _attack_loss(self) -> float:
         """Loss on the attack batch with current weights (forward only)."""

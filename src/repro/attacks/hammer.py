@@ -154,13 +154,12 @@ class RowHammerAttacker:
         resolved_version: int | None = None
         physical = initial_physical
         aggressors: list[RowAddress] = []
-        cache_resolution = self.controller.fast_path
         for _ in range(max_windows):
             for count in counts:
                 # Let the defense run whatever is due before this burst.
                 self.defense.tick()
                 version = self.controller.indirection.version
-                if not cache_resolution or resolved_version != version:
+                if resolved_version != version:
                     if self.track_swaps:
                         # Re-resolve: the defense may have moved the victim.
                         physical = self.controller.indirection.physical(

@@ -1,62 +1,33 @@
 """Hot-path microbenchmarks: the data behind ``python -m repro bench``.
 
-Each benchmark times one profiled hot path in two functionally identical
-variants — the optimized fast path (``after``) and the legacy slow path
-(``before``), which the code keeps as a verifiable fallback:
+Each benchmark times two code paths that both stay in the library —
+never a slow twin kept only for the comparison:
 
 * ``sync_post_window`` — post-hammer-window model sync: incremental
-  dirty-row reload vs the full re-read of every weight row.
-* ``bfa_scoring`` — one BFA candidate-selection sweep over all layers:
-  masked ``argpartition`` top-k with cached bit-deltas vs full argsort
-  plus a Python rank scan.
-* ``forward_backward`` — one ``loss_and_grads`` pass (the
-  gradient-dominated core of every BFA iteration) with the vectorized
-  ``nn.functional`` kernels vs the legacy per-``(kh, kw)``-loop kernels
-  (``REPRO_NN_VECTORIZED=0``); loss and every parameter gradient must be
-  byte-identical.  The full suite runs the sweep-scale attack batch.
-* ``bfa_iteration`` — one full BFA ``_select_flip`` (gradients + ranking
-  + exact evaluation): legacy kernels + argsort scoring vs vectorized
-  kernels + fast scoring (the complete pre-/post-optimization stacks).
-* ``hammer_window`` — one single-bit hammer window through the memory
-  controller with the controller fast path on vs off.
+  dirty-row reload vs the full re-read of every weight row
+  (``sync_model_from_dram(full=True)``, the escape hatch for callers
+  that mutated the model directly).
 * ``multi_bit_window`` — realising a multi-bit flip set (several target
   bits per victim row, the T-BFA regime): per-bit sequential windows
   separated by a refresh (the only schedule under which the sequential
   path lands same-row multi-bit sets — a discharged cell cannot flip
   again within one refresh interval) vs the row-batched
   ``attempt_flips`` path sharing one window and one model sync per row.
-* ``fig6_trial`` — one full ``fig6`` scenario trial (the pipelined swap
-  chain) with the controller fast path on vs off.
-* ``sweep_trial`` — one full ``sweep-hammer-rate`` trial (a T_RH grid of
-  functional defender runs), fast path on vs off; tracks per-trial
-  throughput (``trials_per_s``) at sweep scale.
-* ``straggler_sweep`` — wall-clock of a sharded sweep whose expensive
-  trials all sit on one stride residue (the placement that made the old
-  static strided manifests hand every straggler to the same worker),
-  scheduled as the faithfully reproduced legacy static schedule
-  (``ShardedBackend(static=True)``) vs small work-stealing leases;
-  tracks end-to-end sweep throughput (``trials_per_s``) under load
-  imbalance.
 * ``radar_detection_sweep`` — one full-model RADAR checksum sweep:
   vectorized per-layer signature recompute vs the pure-Python serial
   reference; parity demands identical signatures and identical
   mismatched-group lists over a tampered model.
-* ``tournament_trial`` — one tournament-matrix cell (build the RADAR
-  defense, run smart-bfa through its executor, recover, collect stats)
-  with the vectorized ``nn.functional`` kernels vs the legacy serial
-  kernels (``REPRO_NN_VECTORIZED=0``); parity compares the full cell
-  metric payload.
 * ``defended_vs_undefended`` — one hammer window with DNN-Defender
-  ticking vs undefended (an overhead measurement, not a before/after).
+  ticking vs undefended (an overhead measurement).
 * ``timing_checker`` — one hammer window with an audit-mode
   ``TimingChecker`` and a full ``CommandTrace`` attached vs unobserved
   (the command-observer overhead; parity asserts the observers leave the
   command stream byte-identical and timing-legal).
 
-Every before/after pair is parity-checked during the run: the two
-variants must produce identical functional results, and the recorded
-``parity`` flag in the JSON payload asserts that they did.  Results are
-persisted as ``BENCH_hotpaths.json`` through
+Every pair is parity-checked during the run: the two variants must
+produce identical functional results, and the recorded ``parity`` flag
+in the JSON payload asserts that they did.  Results are persisted as
+``BENCH_hotpaths.json`` through
 :func:`repro.experiments.artifacts.write_bench_artifact`.
 
 Models are built untrained from seeded initializers so the suite never
@@ -66,16 +37,12 @@ trained weights.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import platform
-import sys
 import time
 from typing import Callable
 
 import numpy as np
 
-from repro.attacks.bfa import BfaConfig, BitFlipAttack
 from repro.attacks.hammer import RowHammerAttacker
 from repro.core.defender import DNNDefender
 from repro.dram import (
@@ -89,11 +56,7 @@ from repro.dram import (
 )
 from repro.mapping import build_protection_plan, place_model
 from repro.nn import QuantizedModel, make_resnet20
-from repro.nn.data import cifar10_like
 from repro.nn.quant import BitLocation
-from repro.nn.train import loss_and_grads
-from repro.utils.env import env_str
-from repro.utils.io import atomic_write_text
 
 __all__ = ["HOTPATH_BENCHMARKS", "run_hotpath_suite", "format_suite"]
 
@@ -112,20 +75,6 @@ def _stats(times_s: list[float]) -> dict:
         "median_ms": float(np.median(array)),
         "p95_ms": float(np.percentile(array, 95)),
     }
-
-
-@contextlib.contextmanager
-def _env_override(var: str, value: str):
-    """Set one environment variable for the duration of a bench variant."""
-    saved = env_str(var)
-    os.environ[var] = value
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = saved
 
 
 def _timed(fn: Callable[[], object], reps: int, warmup: int = 1) -> list[float]:
@@ -162,17 +111,10 @@ def _bench_model(seed: int = 0, width_scale: float = 0.5) -> QuantizedModel:
     )
 
 
-def _bench_layout(qmodel: QuantizedModel, fast_path: bool, t_rh: int = 1000):
-    controller = MemoryController(
-        DramDevice(_GEOMETRY), TimingParams(t_rh=t_rh), fast_path=fast_path
-    )
+def _bench_layout(qmodel: QuantizedModel):
+    controller = MemoryController(DramDevice(_GEOMETRY), TimingParams(t_rh=1000))
     layout = place_model(qmodel, controller, reserved_rows=2, seed=0)
     return controller, layout
-
-
-def _attack_batch(batch: int = 64, seed: int = 0):
-    dataset = cifar10_like(n_train=64, n_test=256, seed=seed)
-    return dataset.attack_batch(batch, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------- #
@@ -184,7 +126,7 @@ def bench_sync_post_window(quick: bool) -> dict:
     reps = 20 if quick else 100
     dirty_rows = 4  # a hammer window touches a handful of rows at most
     qmodel = _bench_model()
-    controller, layout = _bench_layout(qmodel, fast_path=True)
+    controller, layout = _bench_layout(qmodel)
     rows = layout.weight_rows()[:dirty_rows]
 
     def run(full: bool) -> list[float]:
@@ -215,120 +157,6 @@ def bench_sync_post_window(quick: bool) -> dict:
     )
 
 
-def bench_bfa_scoring(quick: bool) -> dict:
-    """One candidate-selection sweep over every layer, both scoring modes."""
-    reps = 10 if quick else 40
-    qmodel = _bench_model()
-    x, y = _attack_batch()
-    fast = BitFlipAttack(qmodel, x, y, config=BfaConfig(fast_scoring=True))
-    slow = BitFlipAttack(qmodel, x, y, config=BfaConfig(fast_scoring=False))
-    loss_and_grads(qmodel.model, x, y)
-    layers = range(qmodel.num_layers)
-
-    def sweep(attack):
-        return [attack._layer_best_candidate(i) for i in layers]
-
-    before = _timed(lambda: sweep(slow), reps)
-    after = _timed(lambda: sweep(fast), reps)
-    parity = sweep(fast) == sweep(slow)
-    return _entry(
-        "bfa_scoring",
-        f"per-iteration flip ranking across {qmodel.num_layers} layers "
-        f"({qmodel.total_weights} weights)",
-        reps,
-        {"before": _stats(before), "after": _stats(after)},
-        parity,
-    )
-
-
-def _grad_bytes(model) -> list[bytes]:
-    """Bytes of every parameter gradient, in deterministic name order."""
-    return [
-        param.grad.tobytes()
-        for _, param in sorted(model.named_parameters())
-    ]
-
-
-def bench_forward_backward(quick: bool) -> dict:
-    """One loss_and_grads pass: vectorized vs legacy nn kernels.
-
-    The gradient pass dominates every BFA/T-BFA iteration.  ``before``
-    runs the legacy per-``(kh, kw)``-loop kernels
-    (``REPRO_NN_VECTORIZED=0``); ``after`` runs the strided
-    ``sliding_window_view`` kernels with pooled scratch buffers and the
-    fused eval-mode batch norm.  Parity demands a byte-identical loss
-    *and* byte-identical gradients for every parameter — the vectorized
-    path only changes data movement, never float evaluation order.  The
-    full suite times the sweep-scale attack batch (256), where the
-    legacy path also pays per-call large-buffer page faults.
-    """
-    reps = 5 if quick else 6
-    batch = 64 if quick else 256
-    qmodel = _bench_model()
-    x, y = _attack_batch(batch)
-
-    def run(vectorized: str):
-        with _env_override("REPRO_NN_VECTORIZED", vectorized):
-            times = _timed(
-                lambda: loss_and_grads(qmodel.model, x, y), reps
-            )
-            loss = loss_and_grads(qmodel.model, x, y)
-        return times, loss, _grad_bytes(qmodel.model)
-
-    before, loss_slow, grads_slow = run("0")
-    after, loss_fast, grads_fast = run("1")
-    parity = loss_fast == loss_slow and grads_fast == grads_slow
-    return _entry(
-        "forward_backward",
-        f"one eval-mode loss_and_grads pass (batch {batch}, "
-        f"{qmodel.total_weights} weights), grads byte-compared",
-        reps,
-        {"before": _stats(before), "after": _stats(after)},
-        parity,
-    )
-
-
-def bench_bfa_iteration(quick: bool) -> dict:
-    """One full BFA search step (gradients + ranking + exact eval).
-
-    ``before`` is the complete pre-optimization stack — legacy nn
-    kernels (``REPRO_NN_VECTORIZED=0``) plus the argsort candidate scan;
-    ``after`` is the vectorized kernels plus argpartition fast scoring.
-    Parity compares the selected (bit, estimated gain), which requires
-    the two stacks' gradients to agree bit for bit.  The full suite
-    runs the sweep-scale attack batch.
-    """
-    reps = 3 if quick else 4
-    batch = 64 if quick else 256
-    qmodel = _bench_model()
-    x, y = _attack_batch(batch)
-    config = dict(max_iterations=1, exact_eval_top=4)
-    fast = BitFlipAttack(
-        qmodel, x, y, config=BfaConfig(fast_scoring=True, **config)
-    )
-    slow = BitFlipAttack(
-        qmodel, x, y, config=BfaConfig(fast_scoring=False, **config)
-    )
-
-    def run(attack, vectorized: str):
-        with _env_override("REPRO_NN_VECTORIZED", vectorized):
-            times = _timed(attack._select_flip, reps)
-            selected = attack._select_flip()
-        return times, selected
-
-    before, selected_slow = run(slow, "0")
-    after, selected_fast = run(fast, "1")
-    parity = selected_fast == selected_slow
-    return _entry(
-        "bfa_iteration",
-        f"one _select_flip (loss+grads, ranking, exact eval of top 4) at "
-        f"batch {batch}: legacy kernels + argsort vs vectorized + top-k",
-        reps,
-        {"before": _stats(before), "after": _stats(after)},
-        parity,
-    )
-
-
 def _hammer_targets(qmodel: QuantizedModel, n: int) -> list[BitLocation]:
     """Distinct-row target bits spread across the first layer's rows."""
     layer = qmodel.layer(0)
@@ -336,47 +164,6 @@ def _hammer_targets(qmodel: QuantizedModel, n: int) -> list[BitLocation]:
     return [
         BitLocation(0, (i * stride) % layer.num_weights, 6) for i in range(n)
     ]
-
-
-def bench_hammer_window(quick: bool) -> dict:
-    """One undefended single-bit hammer window, fast vs slow paths.
-
-    The slow variant disables the controller fast path *and* forces the
-    legacy full post-window resync — together, the pre-optimization
-    behaviour of one window.
-    """
-    reps = 10 if quick else 40
-
-    def run(fast_path: bool):
-        qmodel = _bench_model()
-        controller, layout = _bench_layout(qmodel, fast_path=fast_path)
-        attacker = RowHammerAttacker(controller, layout)
-        targets = _hammer_targets(qmodel, reps + 1)
-        outcomes = []
-        times = []
-        with _env_override(
-            "REPRO_SYNC_MODE", "incremental" if fast_path else "full"
-        ):
-            for i, target in enumerate(targets):
-                start = time.perf_counter()
-                outcomes.append(attacker.attempt_flip(target, max_windows=1))
-                elapsed = time.perf_counter() - start
-                if i > 0:  # first window warms caches
-                    times.append(elapsed)
-        return times, outcomes, [
-            layer.packed_bytes().tobytes() for layer in qmodel.layers
-        ]
-
-    before, outcomes_slow, bytes_slow = run(fast_path=False)
-    after, outcomes_fast, bytes_fast = run(fast_path=True)
-    parity = outcomes_fast == outcomes_slow and bytes_fast == bytes_slow
-    return _entry(
-        "hammer_window",
-        "attempt_flip of one weight bit (T_RH=1000, no defense) incl. sync",
-        reps,
-        {"before": _stats(before), "after": _stats(after)},
-        parity,
-    )
 
 
 def _multi_bit_targets(layout, rows: int, bits_per_row: int):
@@ -416,7 +203,7 @@ def bench_multi_bit_window(quick: bool) -> dict:
 
     def run(batched: bool):
         qmodel = _bench_model()
-        controller, layout = _bench_layout(qmodel, fast_path=True)
+        controller, layout = _bench_layout(qmodel)
         attacker = RowHammerAttacker(controller, layout)
         targets = _multi_bit_targets(layout, rows, bits_per_row)
         times, outcome_sets = [], []
@@ -442,9 +229,9 @@ def bench_multi_bit_window(quick: bool) -> dict:
             layer.packed_bytes().tobytes() for layer in qmodel.layers
         ]
 
-    before, outcomes_slow, bytes_slow = run(batched=False)
-    after, outcomes_fast, bytes_fast = run(batched=True)
-    parity = outcomes_fast == outcomes_slow and bytes_fast == bytes_slow
+    before, outcomes_seq, bytes_seq = run(batched=False)
+    after, outcomes_batched, bytes_batched = run(batched=True)
+    parity = outcomes_batched == outcomes_seq and bytes_batched == bytes_seq
     return _entry(
         "multi_bit_window",
         f"{rows * bits_per_row}-bit flip set over {rows} victim rows "
@@ -452,199 +239,6 @@ def bench_multi_bit_window(quick: bool) -> dict:
         "windows vs row-batched attempt_flips",
         reps,
         {"before": _stats(before), "after": _stats(after)},
-        parity,
-    )
-
-
-def bench_fig6_trial(quick: bool) -> dict:
-    """One full fig6 scenario trial (pipelined swap chain + timeline)."""
-    from repro.experiments.registry import get_scenario
-    from repro.experiments.runner import TrialContext
-
-    reps = 100 if quick else 400
-    spec = get_scenario("fig6")
-    ctx = TrialContext(scenario="fig6", trial_index=0, seed=0)
-
-    def run(fast: str):
-        with _env_override("REPRO_DRAM_FAST_PATH", fast):
-            payload = spec.run_trial(ctx)
-            times = _timed(lambda: spec.run_trial(ctx), reps, warmup=10)
-        return times, payload
-
-    before, payload_slow = run("0")
-    after, payload_fast = run("1")
-    parity = payload_fast == payload_slow
-    return _entry(
-        "fig6_trial",
-        "full fig6 scenario trial (8-swap pipelined chain, Fig. 6)",
-        reps,
-        {"before": _stats(before), "after": _stats(after)},
-        parity,
-    )
-
-
-def bench_sweep_trial(quick: bool) -> dict:
-    """One sweep-scale scenario trial: per-trial throughput at grid size.
-
-    Times a full ``sweep-hammer-rate`` trial (a T_RH grid of functional
-    defender runs — the shape of work each shard of a ``--backend
-    sharded`` sweep executes per trial) with the controller fast path on
-    vs off, and reports trials/s alongside the usual latency stats so
-    ``BENCH_hotpaths.json`` tracks sweep-scale throughput over time.
-    """
-    from repro.experiments.registry import get_scenario
-    from repro.experiments.runner import TrialContext
-
-    reps = 3 if quick else 10
-    spec = get_scenario("sweep-hammer-rate")
-    ctx = TrialContext(
-        scenario="sweep-hammer-rate", trial_index=0, seed=0,
-        params={"t_rh_grid": "1000,2000", "n_targets": 32},
-    )
-
-    def run(fast: str):
-        with _env_override("REPRO_DRAM_FAST_PATH", fast):
-            payload = spec.run_trial(ctx)
-            times = _timed(lambda: spec.run_trial(ctx), reps, warmup=1)
-        return times, payload
-
-    before, payload_slow = run("0")
-    after, payload_fast = run("1")
-    parity = payload_fast == payload_slow
-    variants = {"before": _stats(before), "after": _stats(after)}
-    for stats in variants.values():
-        stats["trials_per_s"] = round(1e3 / stats["median_ms"], 3)
-    return _entry(
-        "sweep_trial",
-        "one sweep-hammer-rate trial (2-point T_RH grid, 32 target rows)",
-        reps,
-        variants,
-        parity,
-    )
-
-
-_STRAGGLER_MODULE = "repro_bench_straggler_scenarios"
-_STRAGGLER_SCENARIO = "bench-straggler"
-_STRAGGLER_SOURCE = '''\
-"""Sleep-calibrated sweep scenario for the straggler_sweep benchmark.
-
-Heavy trials sit on stride residue 0 (``trial_index % stride == 0``),
-the placement that concentrates every straggler on one shard of the
-legacy static strided schedule.
-"""
-import os
-import time
-
-from repro.experiments import scenario
-
-
-@scenario(
-    "bench-straggler",
-    title="sleep-calibrated straggler sweep workload",
-    tags=("bench",),
-    default_trials=8,
-)
-def bench_straggler(ctx):
-    heavy_s = float(os.environ["REPRO_BENCH_STRAGGLER_HEAVY_S"])
-    light_s = float(os.environ["REPRO_BENCH_STRAGGLER_LIGHT_S"])
-    stride = int(os.environ["REPRO_BENCH_STRAGGLER_STRIDE"])
-    time.sleep(heavy_s if ctx.trial_index % stride == 0 else light_s)
-    return {"metrics": {"trial": float(ctx.trial_index)}, "detail": {}}
-'''
-
-
-def bench_straggler_sweep(quick: bool) -> dict:
-    """Sharded-sweep wall-clock: legacy static schedule vs work-stealing.
-
-    Runs a sleep-calibrated scenario whose heavy trials (~20x the rest)
-    all sit on one stride residue — the placement under which the old
-    static strided manifests handed *every* straggler to the same
-    worker, so sweep wall-clock was the serial sum of all heavy trials.
-    ``before`` reproduces that exact schedule
-    (``ShardedBackend(static=True)``: one strided lease per worker, no
-    stealing); ``after`` is the default work-stealing scheduler, whose
-    contiguous leases spread the heavy residue across workers and whose
-    idle workers steal the cheap tail.  Worker-subprocess spawn cost
-    (~0.5s per lease) bounds how small a lease can profitably be, which
-    is why the auto chunk size targets ~4 leases per worker rather
-    than 1.
-    """
-    import importlib
-    import pathlib
-    import shutil
-    import tempfile
-
-    from repro.experiments import run_scenario, unregister
-    from repro.experiments.backends import ShardedBackend
-
-    reps = 1 if quick else 2
-    trials, shards = 8, 2
-    # The stragglers must dominate worker-spawn cost (~0.5-1s per
-    # lease) or scheduling differences drown in process startup.
-    heavy_s, light_s = (1.2, 0.05) if quick else (2.0, 0.1)
-    stealing_size = 2
-    tmp = pathlib.Path(tempfile.mkdtemp(prefix="repro-straggler-bench-"))
-    try:
-        atomic_write_text(tmp / f"{_STRAGGLER_MODULE}.py", _STRAGGLER_SOURCE)
-        worker_env = {
-            # Workers import the scenario module from the temp dir; the
-            # ShardedBackend prepends this checkout's package root itself.
-            "PYTHONPATH": os.pathsep.join(
-                filter(None, [str(tmp), env_str("PYTHONPATH", "")])
-            ),
-            "REPRO_SCENARIO_MODULES": _STRAGGLER_MODULE,
-            "REPRO_BENCH_STRAGGLER_HEAVY_S": str(heavy_s),
-            "REPRO_BENCH_STRAGGLER_LIGHT_S": str(light_s),
-            "REPRO_BENCH_STRAGGLER_STRIDE": str(shards),
-        }
-        sys.path.insert(0, str(tmp))
-        importlib.import_module(_STRAGGLER_MODULE)  # register in-process too
-        run_id = 0
-
-        def run(**backend_kwargs):
-            nonlocal run_id
-            run_id += 1
-            backend = ShardedBackend(
-                shards,
-                workdir=tmp / f"work-{run_id}",
-                env=worker_env,
-                **backend_kwargs,
-            )
-            return run_scenario(
-                _STRAGGLER_SCENARIO, trials=trials, seed=0, backend=backend,
-            )
-
-        before, after = [], []
-        results = {}
-        for _ in range(reps):
-            start = time.perf_counter()
-            results["static"] = run(static=True)
-            before.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            results["stealing"] = run(chunk_size=stealing_size)
-            after.append(time.perf_counter() - start)
-        parity = (
-            results["static"].to_json() == results["stealing"].to_json()
-        )
-    finally:
-        # Setup may have failed partway: every teardown step must cope
-        # with its counterpart never having happened.
-        unregister(_STRAGGLER_SCENARIO)
-        sys.modules.pop(_STRAGGLER_MODULE, None)
-        with contextlib.suppress(ValueError):
-            sys.path.remove(str(tmp))
-        shutil.rmtree(tmp, ignore_errors=True)
-    variants = {"before": _stats(before), "after": _stats(after)}
-    for stats in variants.values():
-        stats["trials_per_s"] = round(trials * 1e3 / stats["median_ms"], 3)
-    return _entry(
-        "straggler_sweep",
-        f"{trials}-trial sharded sweep, {trials // shards} stride-aliased "
-        f"straggler trial(s) ({heavy_s:g}s vs {light_s:g}s), {shards} "
-        "workers: legacy static strided schedule vs work-stealing "
-        f"(chunk size {stealing_size})",
-        reps,
-        variants,
         parity,
     )
 
@@ -691,64 +285,13 @@ def bench_radar_detection_sweep(quick: bool) -> dict:
     )
 
 
-def bench_tournament_trial(quick: bool) -> dict:
-    """One tournament-matrix cell: legacy vs vectorized nn kernels.
-
-    Runs the full cell pipeline — build the RADAR defense over a fresh
-    model, drive smart-bfa through its executor, recover, collect the
-    cell metric vocabulary — exactly as one ``tournament-matrix`` trial
-    does, minus the preset load (the bench model is untrained, keeping
-    the suite CI-safe).  ``before`` runs the legacy per-``(kh, kw)``
-    kernels (``REPRO_NN_VECTORIZED=0``); parity compares the complete
-    metric payload, which requires byte-identical accuracies and
-    detection accounting from both stacks.
-    """
-    from repro.analysis.defense_eval import evaluate_tournament_cell
-    from repro.defenses.protocol import DefenseContext
-    from repro.defenses.registry import build_defense
-
-    reps = 2 if quick else 4
-    budget = 3 if quick else 5
-    dataset = cifar10_like(n_train=128, n_test=128, seed=0)
-
-    def cell() -> dict:
-        qmodel = _bench_model()
-        defense = build_defense(
-            "radar", DefenseContext(qmodel=qmodel, dataset=dataset, seed=0)
-        )
-        try:
-            return evaluate_tournament_cell(
-                "smart-bfa", defense, dataset, budget=budget, seed=0
-            )
-        finally:
-            defense.close()
-
-    def run(vectorized: str):
-        with _env_override("REPRO_NN_VECTORIZED", vectorized):
-            times = _timed(cell, reps, warmup=1)
-            payload = cell()
-        return times, payload
-
-    before, payload_slow = run("0")
-    after, payload_fast = run("1")
-    parity = payload_fast == payload_slow
-    return _entry(
-        "tournament_trial",
-        f"one tournament cell (radar vs smart-bfa, budget {budget}, "
-        "eval batch 128): legacy kernels vs vectorized",
-        reps,
-        {"before": _stats(before), "after": _stats(after)},
-        parity,
-    )
-
-
 def bench_defended_vs_undefended(quick: bool) -> dict:
     """Hammer-window cost with DNN-Defender ticking vs undefended."""
     reps = 6 if quick else 20
 
     def run(defended: bool):
         qmodel = _bench_model()
-        controller, layout = _bench_layout(qmodel, fast_path=True)
+        controller, layout = _bench_layout(qmodel)
         defense = None
         if defended:
             secured = set(layout.bits_in_row(layout.weight_rows()[0])[:64])
@@ -783,7 +326,7 @@ def bench_timing_checker(quick: bool) -> dict:
 
     def run(observed: bool):
         qmodel = _bench_model()
-        controller, layout = _bench_layout(qmodel, fast_path=True)
+        controller, layout = _bench_layout(qmodel)
         checker = trace = None
         if observed:
             checker = TimingChecker(controller, mode="audit")
@@ -822,16 +365,8 @@ def bench_timing_checker(quick: bool) -> dict:
 
 HOTPATH_BENCHMARKS: dict[str, Callable[[bool], dict]] = {
     "sync_post_window": bench_sync_post_window,
-    "bfa_scoring": bench_bfa_scoring,
-    "forward_backward": bench_forward_backward,
-    "bfa_iteration": bench_bfa_iteration,
-    "hammer_window": bench_hammer_window,
     "multi_bit_window": bench_multi_bit_window,
-    "fig6_trial": bench_fig6_trial,
-    "sweep_trial": bench_sweep_trial,
-    "straggler_sweep": bench_straggler_sweep,
     "radar_detection_sweep": bench_radar_detection_sweep,
-    "tournament_trial": bench_tournament_trial,
     "defended_vs_undefended": bench_defended_vs_undefended,
     "timing_checker": bench_timing_checker,
 }

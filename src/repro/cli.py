@@ -745,8 +745,8 @@ def _cmd_bench(args) -> int:
     ]
     if mismatches:
         print(
-            f"error: parity MISMATCH in {', '.join(mismatches)} — fast and "
-            "slow paths disagree",
+            f"error: parity MISMATCH in {', '.join(mismatches)} — the two "
+            "compared paths disagree",
             file=sys.stderr,
         )
         return 1

@@ -118,19 +118,7 @@ class SwapEngine:
         rng: np.random.Generator,
     ) -> RowAddress:
         """Random same-sub-array data row for swap step 1."""
-        if getattr(self.controller, "fast_path", True):
-            pool = self._row_pool(
-                target_physical.bank, target_physical.subarray
-            )
-        else:
-            # Slow-path emulation for `repro bench`: rebuild the candidate
-            # addresses per call, as the pre-optimization code did.
-            geometry = self.controller.device.geometry
-            end = self.data_region_end(geometry.rows_per_subarray)
-            pool = [
-                RowAddress(target_physical.bank, target_physical.subarray, row)
-                for row in range(end)
-            ]
+        pool = self._row_pool(target_physical.bank, target_physical.subarray)
         candidates = [
             addr
             for addr in pool

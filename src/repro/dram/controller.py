@@ -36,43 +36,24 @@ from repro.dram.commands import (
 from repro.dram.device import DramDevice
 from repro.dram.faults import BitFlipEvent
 from repro.dram.timing import TimingParams
-from repro.utils.env import env_flag
 
-__all__ = ["MemoryController", "fast_path_default"]
+__all__ = ["MemoryController"]
 
 ActivateHook = Callable[[RowAddress, float, int], None]
 CommandHook = Callable[[CommandEvent], None]
 
 
-def fast_path_default() -> bool:
-    """Resolve the controller fast-path default (env-overridable).
-
-    ``REPRO_DRAM_FAST_PATH=0`` forces the legacy per-call neighbour path;
-    anything else (including unset) enables the memoized fast path.  The
-    ``repro bench`` harness uses the toggle to measure before/after.
-    """
-    return env_flag("REPRO_DRAM_FAST_PATH", True)
-
-
 class MemoryController:
     """Single-channel memory controller over one :class:`DramDevice`.
 
-    ``fast_path`` (default on, see :func:`fast_path_default`) enables the
-    memoized neighbour/sub-array adjacency cache used by the activation
-    and RowClone hot loops; the slow path recomputes adjacency per call
-    and exists as a verifiable fallback for parity tests and the perf
-    harness.  Both paths are functionally identical.
+    The activation and RowClone hot loops resolve neighbours by row
+    arithmetic inside the sub-array (RowHammer coupling never crosses
+    one) and memoize validated RowClone pairs.
     """
 
-    def __init__(
-        self,
-        device: DramDevice,
-        timing: TimingParams,
-        fast_path: bool | None = None,
-    ):
+    def __init__(self, device: DramDevice, timing: TimingParams):
         self.device = device
         self.timing = timing
-        self.fast_path = fast_path_default() if fast_path is None else fast_path
         self.indirection = RowIndirection(device.mapper)
         self.now_ns: float = 0.0
         self.refresh_epoch: int = 0
@@ -115,14 +96,6 @@ class MemoryController:
         return self._next_refresh_ns
 
     def _charge(self, command: Command, actor: str, repeat: int = 1) -> None:
-        if not self.fast_path:
-            # Legacy accounting path (per-command cost re-derivation), kept
-            # for the bench before/after comparison.
-            self.stats.record(command, self.timing, repeat)
-            actor_stats = self.stats_by_actor.setdefault(actor, CommandStats())
-            actor_stats.record(command, self.timing, repeat)
-            self.now_ns += command_latency_ns(command, self.timing) * repeat
-            return
         # Pre-resolved per-command costs, recorded inline into both the
         # global and per-actor stats: _charge runs on every command.
         elapsed = self._latency_ns[command] * repeat
@@ -193,7 +166,7 @@ class MemoryController:
         ]
 
     # ------------------------------------------------------------------ #
-    # Adjacency fast path
+    # Adjacency
     # ------------------------------------------------------------------ #
 
     def _disturb_neighbors(
@@ -312,12 +285,9 @@ class MemoryController:
     def _activate_chunk(
         self, physical: RowAddress, actor: str, count: int, hammer: bool
     ) -> None:
-        if self.fast_path:
-            # activate() already validated the address; resolve the
-            # sub-array without re-validating.
-            sa = self.device.banks[physical.bank].subarrays[physical.subarray]
-        else:
-            sa = self.device.subarray_at(physical)
+        # activate() already validated the address; resolve the sub-array
+        # without re-validating.
+        sa = self.device.banks[physical.bank].subarrays[physical.subarray]
         # Activation restores the activated row's own charge.
         sa.reset_disturbance(physical.row)
         self.device.bank(physical.bank).activate(physical.subarray, physical.row)
@@ -339,17 +309,10 @@ class MemoryController:
             ))
         for hook in self._activate_hooks:
             hook(physical, self.now_ns, count)
-        if self.fast_path:
-            # One batched disturbance update per neighbour for the whole
-            # chunk instead of per-call validation and address resolution.
-            self._disturb_neighbors(
-                physical, sa, self._neighbor_rows(physical.row), count
-            )
-        else:
-            for neighbor in self.device.mapper.compute_neighbors(physical):
-                nsa = self.device.subarray_at(neighbor)
-                nsa.add_disturbance(neighbor.row, count)
-                self._check_threshold(neighbor)
+        # One batched disturbance update per neighbour for the whole chunk.
+        self._disturb_neighbors(
+            physical, sa, self._neighbor_rows(physical.row), count
+        )
 
     def _charge_hammer(self, actor: str, count: int) -> None:
         self.stats.counts[Command.ACT] = self.stats.counts.get(Command.ACT, 0) + count
@@ -365,9 +328,7 @@ class MemoryController:
         actor_stats.total_energy_pj += energy
         self.now_ns += elapsed
 
-    def _check_threshold(self, victim: RowAddress, sa=None) -> None:
-        if sa is None:
-            sa = self.device.subarray_at(victim)
+    def _check_threshold(self, victim: RowAddress, sa) -> None:
         if sa.disturbance[victim.row] < self.timing.t_rh:
             return
         if sa.flipped_this_window[victim.row]:
@@ -406,7 +367,7 @@ class MemoryController:
         that honest).
         """
         pair = (src, dst)
-        if not (self.fast_path and pair in self._clone_checked):
+        if pair not in self._clone_checked:
             self.device.mapper.validate(src)
             self.device.mapper.validate(dst)
             if not src.same_subarray(dst):
@@ -418,36 +379,7 @@ class MemoryController:
                 raise ValueError("source and destination rows are identical")
             self._clone_checked.add(pair)
         src_row, dst_row = src.row, dst.row
-        if self.fast_path:
-            sa = self.device.banks[src.bank].subarrays[src.subarray]
-            sa.copy_row(src_row, dst_row)
-            self._mark_dirty(self.indirection.logical(dst))
-            start_ns = self.now_ns
-            self._charge(Command.AAP, actor)
-            if self._command_hooks:
-                self._emit(CommandEvent(
-                    time_ns=start_ns, command=Command.AAP, actor=actor,
-                    bank=src.bank, subarray=src.subarray, row=src_row,
-                    dst_subarray=dst.subarray, dst_row=dst_row,
-                ))
-            # Both activations disturb their same-sub-array neighbours;
-            # src/dst themselves end the AAP fully charged.  A row adjacent
-            # to both (|src-dst| == 2) is disturbed twice, as on the slow
-            # path.
-            last = self.device.geometry.rows_per_subarray - 1
-            rows = []
-            for base in (src_row, dst_row):
-                row = base - 1
-                if row >= 0 and row != src_row and row != dst_row:
-                    rows.append(row)
-                row = base + 1
-                if row <= last and row != src_row and row != dst_row:
-                    rows.append(row)
-            self._disturb_neighbors(src, sa, rows, 1)
-            if self.now_ns >= self._next_refresh_ns:
-                self._maybe_refresh()
-            return
-        sa = self.device.subarray_at(src)
+        sa = self.device.banks[src.bank].subarrays[src.subarray]
         sa.copy_row(src_row, dst_row)
         self._mark_dirty(self.indirection.logical(dst))
         start_ns = self.now_ns
@@ -458,14 +390,21 @@ class MemoryController:
                 bank=src.bank, subarray=src.subarray, row=src_row,
                 dst_subarray=dst.subarray, dst_row=dst_row,
             ))
-        for row in (src, dst):
-            for neighbor in self.device.mapper.compute_neighbors(row):
-                if neighbor == src or neighbor == dst:
-                    continue
-                nsa = self.device.subarray_at(neighbor)
-                nsa.add_disturbance(neighbor.row, 1)
-                self._check_threshold(neighbor)
-        self._maybe_refresh()
+        # Both activations disturb their same-sub-array neighbours;
+        # src/dst themselves end the AAP fully charged.  A row adjacent to
+        # both (|src-dst| == 2) is disturbed twice.
+        last = self.device.geometry.rows_per_subarray - 1
+        rows = []
+        for base in (src_row, dst_row):
+            row = base - 1
+            if row >= 0 and row != src_row and row != dst_row:
+                rows.append(row)
+            row = base + 1
+            if row <= last and row != src_row and row != dst_row:
+                rows.append(row)
+        self._disturb_neighbors(src, sa, rows, 1)
+        if self.now_ns >= self._next_refresh_ns:
+            self._maybe_refresh()
 
     def rowclone_psm(
         self, src: RowAddress, dst: RowAddress, actor: str = "system"

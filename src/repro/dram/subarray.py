@@ -75,12 +75,6 @@ class Subarray:
         self.disturbance[row] = 0
         self.flipped_this_window[row] = False
 
-    def add_disturbance(self, row: int, amount: int = 1) -> None:
-        self._check(row)
-        if amount < 0:
-            raise ValueError(f"disturbance amount must be >= 0, got {amount}")
-        self.disturbance[row] += amount
-
     def refresh_all(self) -> None:
         """Periodic auto-refresh: every cell recharged."""
         self.disturbance[:] = 0

@@ -326,11 +326,9 @@ class LoadedTrace:
     def timing(self) -> TimingParams:
         return TimingParams(**self.header["timing"])
 
-    def build_controller(self, fast_path: bool | None = None) -> MemoryController:
+    def build_controller(self) -> MemoryController:
         """Fresh controller matching the recorded geometry and timing."""
-        return MemoryController(
-            DramDevice(self.geometry), self.timing, fast_path=fast_path
-        )
+        return MemoryController(DramDevice(self.geometry), self.timing)
 
     def replay(
         self,

@@ -885,14 +885,6 @@ class ShardedBackend(Backend):
             share of the remainder), so cheap trials coalesce and
             expensive ones spread out.  An explicit size disables
             adaptation.
-        static: Emulate the legacy static schedule instead of stealing:
-            exactly one lease per worker, holding that worker's strided
-            slice of the pending indices (``pending[k::shards]``) —
-            wall-clock is then bounded by the slowest shard.  The fault
-            policy still applies.  Kept as the measurable baseline for
-            the ``straggler_sweep`` benchmark and as a scheduling
-            control for debugging; mutually exclusive with
-            ``chunk_size``.
         transport: Where chunk workers execute; ``None`` builds a
             :class:`LocalSubprocessTransport` over ``python``.
         heartbeat_interval: Ask workers to interleave heartbeat records
@@ -923,7 +915,6 @@ class ShardedBackend(Backend):
         timeout: float | None = None,
         retries: int = 1,
         chunk_size: int | None = None,
-        static: bool = False,
         transport: Transport | None = None,
         heartbeat_interval: float | None = None,
         retry_backoff: bool = True,
@@ -939,11 +930,6 @@ class ShardedBackend(Backend):
             raise ValueError(f"retries must be >= 0, got {retries}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
-        if static and chunk_size is not None:
-            raise ValueError(
-                "static scheduling fixes one strided lease per worker; "
-                "chunk_size does not apply"
-            )
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError(
                 "heartbeat interval must be > 0 seconds, "
@@ -963,7 +949,6 @@ class ShardedBackend(Backend):
         self.timeout = timeout
         self.retries = retries
         self.chunk_size = chunk_size
-        self.static = static
         self.transport = transport
         self.heartbeat_interval = heartbeat_interval
         self.retry_backoff = retry_backoff
@@ -992,13 +977,6 @@ class ShardedBackend(Backend):
 
     def _partition(self, pending: list[int], first_id: int) -> list[tuple[int, list[int]]]:
         """Split pending indices into (chunk_id, indices) leases."""
-        if self.static:
-            # Legacy schedule: one strided lease per worker, no stealing.
-            slices = [pending[k::self.shards] for k in range(self.shards)]
-            return [
-                (first_id + k, indices)
-                for k, indices in enumerate(s for s in slices if s)
-            ]
         size = self.chunk_size
         if size is None:
             size = max(1, math.ceil(len(pending) / (4 * self.shards)))
@@ -1289,7 +1267,7 @@ class ShardedBackend(Backend):
         ordered = self._order_pending(plan, sorted(pending))
         queue: collections.deque[tuple[int, list[int]]] = collections.deque()
         pool: collections.deque[int] = collections.deque()
-        adaptive = not self.static and self.chunk_size is None
+        adaptive = self.chunk_size is None
         if adaptive:
             # Carve leases on demand so the size can adapt mid-run.
             pool.extend(ordered)

@@ -141,9 +141,15 @@ class TrialContext:
             if self.profile_cache is not None
             else ProfileCache()
         )
+        config_key = None
+        if config is not None:
+            # BfaConfig once had a ``fast_scoring`` flag (always true in
+            # practice).  Keeping it as a constant keeps every cache key,
+            # and so every profile already on disk, valid.
+            config_key = {**dataclasses.asdict(config), "fast_scoring": True}
         attack_config = {
             "rounds": int(rounds),
-            "config": dataclasses.asdict(config) if config is not None else None,
+            "config": config_key,
             "extra": extra_key or {},
         }
         return cache.load(

@@ -29,6 +29,7 @@ from repro.analysis.defense_eval import (
     tournament_matrix_rows,
 )
 from repro.experiments.registry import scenario
+from repro.experiments.scenarios import _int_grid
 from repro.nn.quant import QuantizedModel
 from repro.utils.tabulate import format_table
 
@@ -47,16 +48,6 @@ def _str_grid(value, default: tuple[str, ...]) -> tuple[str, ...]:
     if isinstance(value, str):
         return tuple(v for v in (s.strip() for s in value.split(",")) if v)
     return tuple(str(v) for v in value)
-
-
-def _int_grid(value, default: tuple[int, ...]) -> tuple[int, ...]:
-    if value is None:
-        return default
-    if isinstance(value, str):
-        return tuple(int(v) for v in value.split(","))
-    if isinstance(value, (int, float)):
-        return (int(value),)
-    return tuple(int(v) for v in value)
 
 
 def tournament_cells(params) -> list[tuple[str, str, str, int]]:

@@ -29,7 +29,6 @@ import numpy as np
 from repro.dram.address import RowAddress
 from repro.dram.controller import MemoryController
 from repro.nn.quant import BitLocation, QuantizedModel
-from repro.utils.env import env_str
 
 __all__ = ["RowSlot", "WeightLayout", "place_model"]
 
@@ -198,7 +197,7 @@ class WeightLayout:
     # Model <-> DRAM synchronisation
     # ------------------------------------------------------------------ #
 
-    def sync_model_from_dram(self, full: bool | None = None) -> None:
+    def sync_model_from_dram(self, full: bool = False) -> None:
         """Load DRAM weight-row contents into the model.
 
         By default this is *incremental*: only logical rows whose DRAM
@@ -207,15 +206,11 @@ class WeightLayout:
         :meth:`repro.dram.controller.MemoryController.dirty_rows_since`)
         are re-read, and each reloads just its byte slice of its layer.
 
-        ``full=True`` (or ``REPRO_SYNC_MODE=full`` in the environment)
-        forces the original re-read-everything path — the verifiable
-        fallback the incremental path is parity-tested against.  The two
-        are equivalent as long as model weights are only mutated through
-        DRAM-consistent paths between syncs (the deployment contract);
-        callers that mutated the model directly must request ``full``.
+        ``full=True`` re-reads every weight row.  The two are equivalent
+        as long as model weights are only mutated through DRAM-consistent
+        paths between syncs (the deployment contract); callers that
+        mutated the model directly must request ``full``.
         """
-        if full is None:
-            full = env_str("REPRO_SYNC_MODE", "") == "full"
         if full:
             self._sync_model_full()
         else:

@@ -6,22 +6,15 @@ matrix multiply per layer; pooling supports the disjoint-window case
 reproduction; cross-entropy fuses log-softmax and NLL with the standard
 ``softmax - onehot`` gradient.
 
-Two functionally identical kernel paths exist (selected per call by
-:func:`vectorized_default`, env ``REPRO_NN_VECTORIZED``):
-
-* the **vectorized** default — ``sliding_window_view`` strided im2col,
-  pooled scratch buffers reused across calls, in-place/``out=`` matmuls,
-  a fused eval-mode batch-norm node with cached constants, and lazy
-  backward preparation (pooling argmax masks are only built when a
-  gradient can actually flow);
-* the **legacy** path — the original per-``(kh, kw)`` Python loops and
-  per-op autograd graph, kept as the verifiable parity reference for
-  ``repro bench`` (``forward_backward``) and the parity tests.
-
-Both paths produce byte-identical outputs and gradients: the vectorized
-kernels only change data movement (strided copies, buffer reuse) and
-fuse elementwise chains in the exact evaluation order of the legacy
-graph, never the floating-point reduction order.
+The kernels are vectorized: ``sliding_window_view`` strided im2col,
+pooled scratch buffers reused across calls, in-place/``out=`` matmuls, a
+fused eval-mode batch-norm node with cached constants, and lazy backward
+preparation (pooling argmax masks are only built when a gradient can
+actually flow).  They only change data movement and fuse elementwise
+chains in the exact evaluation order of the per-op graph, never the
+floating-point reduction order, so outputs and gradients are
+byte-identical to the straightforward loop/per-op formulation (the
+parity tests keep such a reference).
 """
 
 from __future__ import annotations
@@ -30,10 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
-from repro.utils.env import env_flag
 
 __all__ = [
-    "vectorized_default",
     "BatchNormEvalCache",
     "im2col",
     "col2im",
@@ -48,19 +39,6 @@ __all__ = [
     "cross_entropy",
     "dropout",
 ]
-
-_VEC_ENV = "REPRO_NN_VECTORIZED"
-
-
-def vectorized_default() -> bool:
-    """Resolve the kernel-path default (env-overridable).
-
-    ``REPRO_NN_VECTORIZED=0`` forces the legacy per-``(kh, kw)``-loop
-    kernels; anything else (including unset) enables the strided
-    vectorized path.  The ``repro bench`` harness uses the toggle to
-    measure before/after on the same process.
-    """
-    return env_flag(_VEC_ENV, True)
 
 
 def _pair(value) -> tuple[int, int]:
@@ -101,8 +79,8 @@ class _BufferPool:
             return free.pop()
         return np.empty(shape, dtype=dtype)
 
-    def release(self, array: np.ndarray | None) -> None:
-        if array is None or array.base is not None:
+    def release(self, array: np.ndarray) -> None:
+        if array.base is not None:
             return  # only whole allocations are poolable, never views
         key = (array.shape, array.dtype.str)
         free = self._free.setdefault(key, [])
@@ -139,7 +117,7 @@ def _pad_pooled(x: np.ndarray, padding: int) -> np.ndarray:
     return buf
 
 
-def _im2col_fast(
+def _im2col_into(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     oh: int, ow: int, cols6: np.ndarray,
 ) -> np.ndarray:
@@ -155,34 +133,14 @@ def _im2col_fast(
     return cols6.reshape(n, c * kh * kw, oh * ow)
 
 
-def _im2col_legacy(
-    x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-    oh: int, ow: int,
-) -> np.ndarray:
-    n, c = x.shape[:2]
-    if padding:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        )
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            cols[:, :, i, j] = x[:, :, i:i_end:stride, j:j_end:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
-
-
 def im2col(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int
 ) -> np.ndarray:
     """Unfold ``(N, C, H, W)`` into ``(N, C*kh*kw, OH*OW)`` patch columns."""
     n, c, h, w = x.shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
-    if not vectorized_default():
-        return _im2col_legacy(x, kh, kw, stride, padding, oh, ow)
     cols6 = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    return _im2col_fast(x, kh, kw, stride, padding, oh, ow, cols6)
+    return _im2col_into(x, kh, kw, stride, padding, oh, ow, cols6)
 
 
 def _col2im_into(
@@ -196,9 +154,9 @@ def _col2im_into(
 ) -> np.ndarray:
     """Fold columns into a caller-supplied padded buffer (zeroed here).
 
-    The accumulation runs in the same ``(i, j)`` order as the legacy
-    loop so overlapping windows sum in an identical floating-point
-    order — the result is byte-identical, only the buffer is reused.
+    The accumulation runs in a fixed row-major ``(i, j)`` order, so
+    overlapping windows always sum in the same floating-point order
+    whichever buffer the caller supplies.
     """
     n, c, h, w = x_shape
     oh = (h + 2 * padding - kh) // stride + 1
@@ -248,24 +206,16 @@ def conv2d(
     if wc != c:
         raise ValueError(f"input has {c} channels but weight expects {wc}")
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
-    vectorized = vectorized_default()
     parents = (x, weight) if bias is None else (x, weight, bias)
     needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
     w2d = weight.data.reshape(f, -1)                      # (F, CKK)
 
-    if vectorized:
-        cols6 = _POOL.acquire((n, c, kh, kw, oh, ow), x.dtype)
-        cols = _im2col_fast(x.data, kh, kw, stride, padding, oh, ow, cols6)
-    else:
-        cols6 = None
-        cols = _im2col_legacy(x.data, kh, kw, stride, padding, oh, ow)
+    cols6 = _POOL.acquire((n, c, kh, kw, oh, ow), x.dtype)
+    cols = _im2col_into(x.data, kh, kw, stride, padding, oh, ow, cols6)
     out = w2d @ cols                                      # (N, F, L)
     out = out.reshape(n, f, oh, ow)
     if bias is not None:
-        if vectorized:
-            np.add(out, bias.data.reshape(1, f, 1, 1), out=out)
-        else:
-            out = out + bias.data.reshape(1, f, 1, 1)
+        np.add(out, bias.data.reshape(1, f, 1, 1), out=out)
 
     if not needs_grad:
         _POOL.release(cols6)
@@ -276,11 +226,10 @@ def conv2d(
     def backward_fn(grad: np.ndarray) -> None:
         nonlocal cols, cols6
         if cols is None:
-            # Released by a previous backward (pooled-buffer path);
-            # rebuild from the still-live input so double-backward keeps
-            # the legacy semantics.
+            # Released to the pool by a previous backward; rebuild from
+            # the still-live input so a second backward still works.
             cols6 = _POOL.acquire((n, c, kh, kw, oh, ow), x.data.dtype)
-            cols = _im2col_fast(
+            cols = _im2col_into(
                 x.data, kh, kw, stride, padding, oh, ow, cols6
             )
         grad2d = grad.reshape(n, f, oh * ow)              # (N, F, L)
@@ -291,26 +240,20 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             Tensor._accumulate(bias, grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            if vectorized:
-                grad_cols = _POOL.acquire(cols.shape, grad.dtype)
-                np.matmul(w2d.T, grad2d, out=grad_cols)   # (N, CKK, L)
-                padded = _POOL.acquire(
-                    (n, c, h + 2 * padding, w + 2 * padding), grad.dtype
-                )
-                grad_x = _col2im_into(
-                    grad_cols, x_shape, kh, kw, stride, padding, padded
-                )
-                Tensor._accumulate(x, grad_x)
-                _POOL.release(grad_cols)
-                _POOL.release(padded)
-            else:
-                grad_cols = w2d.T @ grad2d                # (N, CKK, L)
-                grad_x = col2im(grad_cols, x_shape, kh, kw, stride, padding)
-                Tensor._accumulate(x, grad_x)
-        if cols6 is not None:
-            _POOL.release(cols6)
-            cols = None
-            cols6 = None
+            grad_cols = _POOL.acquire(cols.shape, grad.dtype)
+            np.matmul(w2d.T, grad2d, out=grad_cols)       # (N, CKK, L)
+            padded = _POOL.acquire(
+                (n, c, h + 2 * padding, w + 2 * padding), grad.dtype
+            )
+            grad_x = _col2im_into(
+                grad_cols, x_shape, kh, kw, stride, padding, padded
+            )
+            Tensor._accumulate(x, grad_x)
+            _POOL.release(grad_cols)
+            _POOL.release(padded)
+        _POOL.release(cols6)
+        cols = None
+        cols6 = None
 
     return Tensor._make(out, parents, backward_fn)
 
@@ -343,14 +286,12 @@ def max_pool2d(x: Tensor, kernel_size) -> Tensor:
     oh, ow = h // kh, w // kw
     windows = x.data.reshape(n, c, oh, kh, ow, kw)
     out = windows.max(axis=(3, 5))
-    if vectorized_default() and not (is_grad_enabled() and x.requires_grad):
+    if not (is_grad_enabled() and x.requires_grad):
         # Inference: the argmax mask is backward-only state — skip it.
         return Tensor(out)
     # Mask of argmax positions for the backward pass; axes reordered so each
     # window's kh*kw elements are contiguous, then ties broken to the first
-    # maximum per window (np.argmax returns the first maximal element, so
-    # taking it over the raw window values matches the legacy
-    # argmax-over-equality-mask selection bit for bit).
+    # maximum per window (np.argmax returns the first maximal element).
     flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(-1, kh * kw)
     first = np.argmax(flat, axis=1)
     tie = np.zeros(flat.shape, dtype=bool)
@@ -399,11 +340,9 @@ class BatchNormEvalCache:
 
     Eval-mode batch norm uses the frozen running statistics, so
     ``mean.reshape(1, C, 1, 1)`` and ``1/sqrt(var + eps)`` are loop
-    invariants across every inference/attack forward — yet the legacy
-    path rebuilt both (and wrapped ``inv_std`` in a throwaway
-    :class:`Tensor` that joined the autograd graph) on each call.  The
-    cache holds them as plain ndarrays — they can never require grad or
-    allocate grad buffers — and self-invalidates by comparing snapshots
+    invariants across every inference/attack forward.  The cache holds
+    them as plain ndarrays — they can never require grad or allocate
+    grad buffers — and self-invalidates by comparing snapshots
     of the running buffers, so in-place updates (training forwards,
     ``load_state_dict``) are picked up on the next eval forward.
     """
@@ -449,10 +388,10 @@ def _batch_norm2d_eval_fused(
 ) -> Tensor:
     """Fused eval-mode batch norm: one graph node instead of four.
 
-    Forward and backward replicate the legacy elementwise chain
+    Forward and backward replicate the per-op elementwise chain
     ``((x - mean) * inv_std) * gamma + beta`` operation for operation,
-    so outputs and gradients are byte-identical; only the intermediate
-    graph nodes (and the recomputed constants) are gone.
+    so outputs and gradients are byte-identical to it; only the
+    intermediate graph nodes (and the recomputed constants) are gone.
     """
     c = x.shape[1]
     if cache is None:
@@ -495,31 +434,26 @@ def batch_norm2d(
     updated in place); in eval mode the running statistics are constants,
     so only the affine part participates in autograd.  ``eval_cache`` (see
     :class:`BatchNormEvalCache`) lets a layer reuse the eval constants
-    across forwards on the vectorized path.
+    across forwards.
     """
-    c = x.shape[1]
-    if not training and vectorized_default():
+    if not training:
         return _batch_norm2d_eval_fused(
             x, gamma, beta, running_mean, running_var, eps, eval_cache
         )
+    c = x.shape[1]
     gamma4 = gamma.reshape(1, c, 1, 1)
     beta4 = beta.reshape(1, c, 1, 1)
-    if training:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.data.reshape(c)
-        n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-        inv_std = (var + eps) ** -0.5
-        xhat = centered * inv_std
-    else:
-        mean = running_mean.reshape(1, c, 1, 1)
-        inv_std = 1.0 / np.sqrt(running_var.reshape(1, c, 1, 1) + eps)
-        xhat = (x - mean) * Tensor(inv_std)
+    mean = x.mean(axis=(0, 2, 3), keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean.data.reshape(c)
+    n = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+    unbiased = var.data.reshape(c) * (n / max(n - 1, 1))
+    running_var *= 1.0 - momentum
+    running_var += momentum * unbiased
+    inv_std = (var + eps) ** -0.5
+    xhat = centered * inv_std
     return xhat * gamma4 + beta4
 
 

@@ -9,19 +9,16 @@ observed on the coordinator may silently differ from the value a worker
 observes.  The ``repro lint`` rule REP003 enforces the discipline: raw
 ``os.environ`` reads outside this module (and the CLI) are findings.
 
-Readers only.  Code that *mutates* the environment (the bench harness's
-scoped overrides, worker-env construction) keeps using ``os.environ``
-directly — mutation is visible in process-local scope and is not the
-hazard REP003 polices.
+Readers only.  Code that *mutates* the environment (worker-env
+construction) keeps using ``os.environ`` directly — mutation is visible
+in process-local scope and is not the hazard REP003 polices.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["env_str", "env_flag", "env_float"]
-
-_MISSING = object()
+__all__ = ["env_str", "env_float"]
 
 
 def env_str(name: str, default: str | None = None) -> str | None:
@@ -29,30 +26,7 @@ def env_str(name: str, default: str | None = None) -> str | None:
     return os.environ.get(name, default)
 
 
-def env_flag(name: str, default: bool) -> bool:
-    """Boolean toggle: unset means ``default``; ``"0"`` means off.
-
-    This encodes the repo's opt-out convention (``REPRO_NN_VECTORIZED=0``,
-    ``REPRO_DRAM_FAST_PATH=0`` …): any set value other than ``"0"``
-    enables the feature.  Opt-in flags with a stricter sentinel (e.g.
-    ``REPRO_ALLOW_UNSEEDED_RNG=1``) compare :func:`env_str` explicitly.
-    """
+def env_float(name: str, default: float) -> float:
+    """The variable parsed as ``float``, or ``default`` when unset."""
     raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw != "0"
-
-
-def env_float(name: str, default: float | object = _MISSING) -> float:
-    """The variable parsed as ``float``.
-
-    Raises ``KeyError`` when unset and no ``default`` is given — used for
-    harness-internal variables a parent process is contractually required
-    to set (e.g. the straggler-bench knobs).
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        if default is _MISSING:
-            raise KeyError(name)
-        return float(default)  # type: ignore[arg-type]
-    return float(raw)
+    return float(default if raw is None else raw)

@@ -2,7 +2,7 @@
 import contextlib
 import os
 
-from repro.utils.env import env_flag, env_str
+from repro.utils.env import env_str
 
 
 def cache_dir():
@@ -10,7 +10,7 @@ def cache_dir():
 
 
 def enabled():
-    return env_flag("REPRO_FAST_PATH", True)
+    return env_str("REPRO_FEATURE", "1") != "0"
 
 
 @contextlib.contextmanager

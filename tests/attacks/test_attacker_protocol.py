@@ -162,9 +162,8 @@ class TestBfaSkipColumns:
             BitFlipAttack(fresh_quantized, x, y,
                           skip_bit_positions=frozenset({8}))
 
-    @pytest.mark.parametrize("fast_scoring", [True, False])
     def test_masked_columns_never_selected(
-        self, quantized_factory, tiny_dataset, fast_scoring
+        self, quantized_factory, tiny_dataset
     ):
         import numpy as np
 
@@ -172,8 +171,7 @@ class TestBfaSkipColumns:
         x, y = tiny_dataset.attack_batch(64, np.random.default_rng(0))
         result = BitFlipAttack(
             qmodel, x, y,
-            config=BfaConfig(max_iterations=4, exact_eval_top=4,
-                             fast_scoring=fast_scoring),
+            config=BfaConfig(max_iterations=4, exact_eval_top=4),
             skip_bit_positions=frozenset({6, 7}),
         ).run()
         assert result.flips

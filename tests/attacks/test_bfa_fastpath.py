@@ -1,13 +1,13 @@
-"""BFA fast-scoring parity: argpartition top-k vs the argsort scan.
+"""BFA candidate-scoring parity: argpartition top-k vs an argsort scan.
 
-The fast path (masked scores + ``np.argpartition`` + cached bit-deltas)
-must select exactly the flips the legacy full-argsort scan selects on
-seeded models, across whole attack runs including skip sets and defended
-attempts.
+The library's scoring (masked scores + ``np.argpartition`` + cached
+bit-deltas) must select exactly the flips that :class:`ArgsortScanAttack`
+— a test-local oracle running a full argsort plus a rank scan past
+skip/tried bits — selects on seeded models, across whole attack runs
+including skip sets and defended attempts.
 """
 
 import numpy as np
-import pytest
 
 from repro.attacks import LogicalDefenseExecutor
 from repro.attacks.bfa import BfaConfig, BitFlipAttack
@@ -15,15 +15,38 @@ from repro.nn.quant import BitLocation
 from repro.nn.train import loss_and_grads
 
 
-def _attack(qmodel, dataset, fast: bool, skip=None, executor=None):
+class ArgsortScanAttack(BitFlipAttack):
+    """Oracle: rank every ``(weight, bit)`` score with a full argsort and
+    walk it past skipped/tried bits to the first eligible candidate."""
+
+    def _layer_best_candidate(self, layer_index):
+        layer = self.qmodel.layer(layer_index)
+        grad = layer.grad_flat().astype(np.float64)
+        scores = grad[:, None] * (
+            self._bit_deltas(layer.weight_int) * layer.scale
+        )
+        if self._skip_columns is not None:
+            scores[:, self._skip_columns] = -np.inf
+        for flat in np.argsort(scores, axis=None)[::-1]:
+            index, bit = divmod(int(flat), 8)
+            score = float(scores.flat[flat])
+            if score <= self.config.min_estimated_gain:
+                return None
+            location = BitLocation(layer_index, index, bit)
+            if location not in self.skip and location not in self.tried:
+                return location, score
+        return None
+
+
+def _attack(qmodel, dataset, reference=False, skip=None, executor=None,
+            skip_bit_positions=None):
     rng = np.random.default_rng(11)
     x, y = dataset.attack_batch(64, rng)
-    return BitFlipAttack(
+    cls = ArgsortScanAttack if reference else BitFlipAttack
+    return cls(
         qmodel, x, y,
-        config=BfaConfig(
-            max_iterations=6, exact_eval_top=3, fast_scoring=fast
-        ),
-        skip=skip, executor=executor,
+        config=BfaConfig(max_iterations=6, exact_eval_top=3),
+        skip=skip, executor=executor, skip_bit_positions=skip_bit_positions,
     )
 
 
@@ -37,20 +60,18 @@ def _attempts(result):
 class TestScoringParity:
     def test_full_runs_select_identical_flips(self, quantized_factory,
                                               tiny_dataset):
-        fast_result = _attack(
-            quantized_factory(), tiny_dataset, fast=True
+        result = _attack(quantized_factory(), tiny_dataset).run()
+        expected = _attack(
+            quantized_factory(), tiny_dataset, reference=True
         ).run()
-        slow_result = _attack(
-            quantized_factory(), tiny_dataset, fast=False
-        ).run()
-        assert _attempts(fast_result) == _attempts(slow_result)
-        assert fast_result.accuracy_history == slow_result.accuracy_history
+        assert _attempts(result) == _attempts(expected)
+        assert result.accuracy_history == expected.accuracy_history
 
     def test_parity_with_skip_set_and_defense(self, quantized_factory,
                                               tiny_dataset):
-        def build(fast):
+        def build(reference):
             qmodel = quantized_factory()
-            probe = _attack(qmodel, tiny_dataset, fast=True)
+            probe = _attack(qmodel, tiny_dataset)
             loss_and_grads(qmodel.model, probe.attack_x, probe.attack_y)
             secured = {
                 probe._layer_best_candidate(i)[0]
@@ -59,26 +80,34 @@ class TestScoringParity:
             }
             qmodel.zero_grad()
             return _attack(
-                qmodel, tiny_dataset, fast=fast, skip=set(secured),
+                qmodel, tiny_dataset, reference=reference, skip=set(secured),
                 executor=LogicalDefenseExecutor(qmodel, secured),
             )
 
-        fast_result = build(True).run()
-        slow_result = build(False).run()
-        assert _attempts(fast_result) == _attempts(slow_result)
+        assert _attempts(build(False).run()) == _attempts(build(True).run())
+
+    def test_parity_with_masked_bit_columns(self, quantized_factory,
+                                            tiny_dataset):
+        def run(reference):
+            return _attack(
+                quantized_factory(), tiny_dataset, reference=reference,
+                skip_bit_positions=frozenset({6, 7}),
+            ).run()
+
+        assert _attempts(run(False)) == _attempts(run(True))
 
     def test_per_layer_candidates_match(self, fresh_quantized, tiny_dataset):
-        fast = _attack(fresh_quantized, tiny_dataset, fast=True)
-        slow = _attack(fresh_quantized, tiny_dataset, fast=False)
-        loss_and_grads(fresh_quantized.model, fast.attack_x, fast.attack_y)
+        attack = _attack(fresh_quantized, tiny_dataset)
+        reference = _attack(fresh_quantized, tiny_dataset, reference=True)
+        loss_and_grads(fresh_quantized.model, attack.attack_x, attack.attack_y)
         for index in range(fresh_quantized.num_layers):
             assert (
-                fast._layer_best_candidate(index)
-                == slow._layer_best_candidate(index)
+                attack._layer_best_candidate(index)
+                == reference._layer_best_candidate(index)
             )
 
 
-class TestFastPathInternals:
+class TestScoringInternals:
     def test_bit_deltas_match_reference(self):
         weights = np.arange(-128, 128, dtype=np.int8)
         deltas = BitFlipAttack._bit_deltas(weights)
@@ -94,7 +123,7 @@ class TestFastPathInternals:
 
     def test_delta_cache_invalidated_by_mutation(self, fresh_quantized,
                                                  tiny_dataset):
-        attack = _attack(fresh_quantized, tiny_dataset, fast=True)
+        attack = _attack(fresh_quantized, tiny_dataset)
         first = attack._scaled_deltas(0)
         assert attack._scaled_deltas(0) is first  # cache hit
         fresh_quantized.flip_bit(BitLocation(0, 0, 3))
@@ -108,7 +137,7 @@ class TestFastPathInternals:
 
     def test_mask_tracks_skip_and_tried(self, fresh_quantized, tiny_dataset):
         skip = {BitLocation(0, 1, 4)}
-        attack = _attack(fresh_quantized, tiny_dataset, fast=True, skip=skip)
+        attack = _attack(fresh_quantized, tiny_dataset, skip=skip)
         mask = attack._layer_mask(0)
         assert mask[1 * 8 + 4]
         assert mask.sum() == 1
@@ -135,7 +164,7 @@ class TestFastPathInternals:
 
     def test_top_candidates_respect_min_gain(self, fresh_quantized,
                                              tiny_dataset):
-        attack = _attack(fresh_quantized, tiny_dataset, fast=True)
+        attack = _attack(fresh_quantized, tiny_dataset)
         loss_and_grads(fresh_quantized.model, attack.attack_x,
                        attack.attack_y)
         top = attack._layer_top_candidates(0, 16)

@@ -1,12 +1,18 @@
 """Perf harness: suite schema, artifact writing, CLI entry point."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
 from repro.bench import HOTPATH_BENCHMARKS, format_suite, run_hotpath_suite
 from repro.cli import main
 from repro.experiments import write_bench_artifact
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+# A registered bench name in backticks, or a quoted ratio such as "4.87×".
+NAME_OR_RATIO = re.compile(r"`(\w+)`|(\d+(?:\.\d+)?)×")
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +36,11 @@ class TestSuite:
         )
 
     def test_incremental_sync_is_faster(self, sync_suite):
-        # The committed BENCH_hotpaths.json records ~13x; assert a floor
+        # The committed BENCH_hotpaths.json records ~15x; assert a floor
         # loose enough that machine load cannot flake the suite (the
         # incremental path reloads 4 rows instead of 272, so anything
-        # near parity would indicate the fast path silently fell back).
+        # near parity would indicate it silently fell back to a full
+        # re-read).
         assert sync_suite["summary"]["sync_post_window"]["speedup"] >= 3.0
 
     def test_unknown_path_rejected(self):
@@ -42,10 +49,7 @@ class TestSuite:
 
     def test_all_paths_registered(self):
         assert set(HOTPATH_BENCHMARKS) == {
-            "sync_post_window", "bfa_scoring", "forward_backward",
-            "bfa_iteration", "hammer_window", "multi_bit_window",
-            "fig6_trial", "sweep_trial", "straggler_sweep",
-            "radar_detection_sweep", "tournament_trial",
+            "sync_post_window", "multi_bit_window", "radar_detection_sweep",
             "defended_vs_undefended", "timing_checker",
         }
 
@@ -53,6 +57,41 @@ class TestSuite:
         text = format_suite(sync_suite)
         assert "sync_post_window" in text
         assert "speedup" in text
+
+
+def _committed() -> dict:
+    return json.loads((ROOT / "BENCH_hotpaths.json").read_text())
+
+
+class TestCommittedArtifact:
+    def test_names_match_registry(self):
+        payload = _committed()
+        assert payload["quick"] is False
+        assert [b["name"] for b in payload["benchmarks"]] == list(
+            HOTPATH_BENCHMARKS
+        )
+        assert set(payload["summary"]) == set(HOTPATH_BENCHMARKS)
+
+    @pytest.mark.parametrize("doc", ["README.md", "docs/performance.md"])
+    def test_quoted_ratios_match_artifact(self, doc):
+        """Every ``N×`` figure that follows a registered bench name on
+        the same line is that bench's committed ratio."""
+        ratios = {
+            name: entry.get("speedup", entry.get("overhead_x"))
+            for name, entry in _committed()["summary"].items()
+        }
+        quotes = []
+        for line in (ROOT / doc).read_text().splitlines():
+            current = None
+            for match in NAME_OR_RATIO.finditer(line):
+                name, figure = match.groups()
+                if name in ratios:
+                    current = name
+                elif figure is not None and current is not None:
+                    quotes.append((current, float(figure)))
+        assert quotes, f"{doc} quotes no bench ratio"
+        wrong = [(n, f, ratios[n]) for n, f in quotes if f != ratios[n]]
+        assert not wrong, f"{doc}: (bench, quoted, committed) {wrong}"
 
 
 class TestArtifact:

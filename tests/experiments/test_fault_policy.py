@@ -66,27 +66,6 @@ class TestBackendValidation:
         chunks = backend._partition([0, 1, 2, 3, 4, 5, 6], first_id=5)
         assert chunks == [(5, [0, 1, 2]), (6, [3, 4, 5]), (7, [6])]
 
-    def test_static_partition_reproduces_legacy_strided_schedule(self):
-        backend = ShardedBackend(2, static=True)
-        chunks = backend._partition(list(range(8)), first_id=0)
-        assert chunks == [(0, [0, 2, 4, 6]), (1, [1, 3, 5, 7])]
-        # More workers than trials: empty slices produce no lease.
-        assert ShardedBackend(4, static=True)._partition([0, 1], 0) == [
-            (0, [0]), (1, [1]),
-        ]
-
-    def test_static_mode_rejects_chunk_size(self):
-        with pytest.raises(ValueError, match="static"):
-            ShardedBackend(2, static=True, chunk_size=2)
-
-    def test_static_mode_matches_serial(self, tmp_path):
-        result = run_scenario(
-            SCENARIO, trials=4, seed=3,
-            backend=ShardedBackend(2, workdir=tmp_path / "work",
-                                   static=True),
-        )
-        assert result.to_json() == _serial().to_json()
-
 
 class TestCrashRecovery:
     def test_crashed_worker_is_salvaged_and_retried_to_completion(

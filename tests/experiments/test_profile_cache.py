@@ -93,50 +93,6 @@ class TestProfileCache:
         assert default_profile_root() == tmp_path / "pinned"
 
 
-class TestFastScoringAudit:
-    """A cached profile computed with the fast scorer must replay
-    identically under the legacy scorer — and the cache key must
-    distinguish the two configs, so nothing silently mixes them if the
-    scorers ever diverge."""
-
-    def _profile(self, qmodel, dataset, fast_scoring):
-        rng = np.random.default_rng(5)
-        x, y = dataset.attack_batch(48, rng)
-        return profile_vulnerable_bits(
-            qmodel, x, y, rounds=2,
-            config=BfaConfig(
-                max_iterations=3, exact_eval_top=2, fast_scoring=fast_scoring,
-            ),
-        )
-
-    def test_fast_profile_replays_identically_under_legacy_scorer(
-        self, quantized_factory, tiny_dataset
-    ):
-        fast = self._profile(quantized_factory(), tiny_dataset, True)
-        slow = self._profile(quantized_factory(), tiny_dataset, False)
-        assert fast.rounds == slow.rounds
-        assert fast.all_bits == slow.all_bits
-
-    def test_cache_key_distinguishes_scoring_modes(self, tmp_path):
-        import dataclasses
-
-        cache = ProfileCache(tmp_path)
-
-        def config_for(fast_scoring):
-            return {
-                "rounds": 2,
-                "config": dataclasses.asdict(
-                    BfaConfig(max_iterations=3, fast_scoring=fast_scoring)
-                ),
-                "extra": {},
-            }
-
-        assert (
-            cache.key_for(SPEC, config_for(True))
-            != cache.key_for(SPEC, config_for(False))
-        )
-
-
 class TestTrialContextIntegration:
     def test_context_uses_provided_cache_memo(self, tmp_path, monkeypatch):
         """run_scenario threads one ProfileCache through all trials, so
@@ -163,3 +119,32 @@ class TestTrialContextIntegration:
         ctx.profile("resnet20_cifar", None, None, None, **kwargs)
         assert calls == [2]  # second call served from the shared memo
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_registry_profile_key_is_pinned(self, tmp_path):
+        """The dnn-defender registry inputs must keep hashing to the key
+        recorded before ``BfaConfig`` lost a field, so profile caches
+        filled by earlier checkouts stay warm."""
+        from repro.attacks.profile import ProfileResult
+        from repro.experiments import TrialContext
+
+        keys = []
+
+        class RecordingCache(ProfileCache):
+            def load(self, spec, attack_config, compute):
+                keys.append(self.key_for(spec, attack_config))
+                return ProfileResult()
+
+        ctx = TrialContext(
+            scenario="t", trial_index=0, seed=0,
+            profile_cache=RecordingCache(tmp_path),
+        )
+        ctx.profile(
+            "resnet20_cifar", None, None, None, rounds=4,
+            config=BfaConfig(max_iterations=8, exact_eval_top=4),
+            extra_key={
+                "attack_batch": 96, "seed": 0, "purpose": "defense-registry",
+            },
+        )
+        assert keys == [
+            "b5336cb1cd4f3c086cb43f72196e11b8e747354683f9b8b258652d7b807cec89"
+        ]

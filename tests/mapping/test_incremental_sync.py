@@ -100,11 +100,9 @@ class TestIncrementalSyncParity:
         layout.sync_model_from_dram()
         assert [layer.version for layer in fresh_quantized.layers] == versions
 
-    def test_env_forces_full(self, layout, controller, fresh_quantized,
-                             monkeypatch):
-        monkeypatch.setenv("REPRO_SYNC_MODE", "full")
+    def test_full_reloads_every_layer(self, layout, fresh_quantized):
         versions = [layer.version for layer in fresh_quantized.layers]
-        layout.sync_model_from_dram()  # full reload bumps every layer
+        layout.sync_model_from_dram(full=True)  # bumps every layer
         assert all(
             layer.version > v
             for layer, v in zip(fresh_quantized.layers, versions)
