@@ -277,9 +277,12 @@ def evaluate_tournament_cell(
     defense's executor (ticking the defense as it goes), measure the
     post-attack accuracy *floor*, give the defense its post-attack
     :meth:`~repro.defenses.protocol.Defense.recover` pass, and measure
-    the recovered accuracy.  Detection counters and the detection-ns
-    cost come out of the defense's
-    :class:`~repro.defenses.base.DefenseStats` notes.
+    the recovered accuracy.  The clean accuracy and the floor are the
+    outcome's ``initial_accuracy`` and ``final_accuracy``: the attacker
+    measures both on the test split right before and right after the
+    attack, so measuring them again here would repeat two evaluations of
+    the same weights.  Detection counters and the detection-ns cost come
+    out of the defense's :class:`~repro.defenses.base.DefenseStats` notes.
 
     Returns the flat scalar metrics of :data:`TOURNAMENT_CELL_METRICS`
     (artifact- and merge-safe).  The caller owns ``defense.close()``.
@@ -288,7 +291,6 @@ def evaluate_tournament_cell(
     from repro.attacks.registry import build_attacker
 
     deployed = defense.qmodel  # transforms may have replaced the model
-    clean = evaluate(deployed.model, dataset.x_test, dataset.y_test)
     context = AttackContext(
         qmodel=deployed,
         dataset=dataset,
@@ -301,7 +303,7 @@ def evaluate_tournament_cell(
         eval_y=dataset.y_test,
     )
     outcome = build_attacker(attacker_name).execute(context)
-    floor = evaluate(deployed.model, dataset.x_test, dataset.y_test)
+    clean, floor = outcome.initial_accuracy, outcome.final_accuracy
     recovered_weights = int(defense.recover())
     recovery = evaluate(deployed.model, dataset.x_test, dataset.y_test)
     stats = defense.finalize()

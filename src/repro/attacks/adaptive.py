@@ -78,10 +78,10 @@ def semi_white_box_attack(
         executor=SoftwareFlipExecutor(qmodel),
         eval_x=eval_x, eval_y=eval_y,
     )
-    plan = planner.run()
+    planned = [a.location for a in planner.steps() if a.succeeded]
     qmodel.restore(snapshot)
     result = SemiWhiteBoxResult(
-        planned_sequence=list(plan.flips),
+        planned_sequence=planned,
         initial_accuracy=evaluate(qmodel.model, eval_x, eval_y),
     )
     # Replay against the deployment; the attacker cannot tell which flips

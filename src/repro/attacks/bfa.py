@@ -9,6 +9,14 @@ simulation).  Iteration stops when accuracy collapses to the target level or
 the flip budget is exhausted — matching Eq. 1's maximisation of loss under a
 minimal Hamming-distance budget.
 
+Each forward pass runs once, and only when something reads it.  The
+gradient pass captures every forward segment's input, so a candidate's
+exact evaluation resumes the forward at the segment owning its layer.
+:meth:`BitFlipAttack.steps` is the one search loop and evaluates accuracy
+only for the ``stop_accuracy`` rule; :meth:`BitFlipAttack.run` adds the
+per-attempt accuracy curve, and :meth:`BitFlipAttack.run_endpoints` only
+the accuracy before and after the search.
+
 Vectorised bit scoring: for an int8 weight ``w`` with per-layer scale ``s``,
 flipping bit ``b < 7`` changes the weight by ``+-2^b * s`` (sign from the
 current bit value) and flipping the sign bit by ``-+128 * s``; the estimated
@@ -18,7 +26,8 @@ candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -64,21 +73,30 @@ class BfaConfig:
 
 @dataclass(frozen=True)
 class FlipAttempt:
-    """One committed attack step (successful or defended)."""
+    """One committed attack step (successful or defended).
+
+    ``accuracy_after`` is ``None`` when nothing measured it: only
+    :meth:`BitFlipAttack.run` and the ``stop_accuracy`` rule do.
+    """
 
     iteration: int
     location: BitLocation
     estimated_gain: float
     succeeded: bool
-    loss_after: float
-    accuracy_after: float
+    accuracy_after: float | None
 
 
 @dataclass
 class AttackResult:
-    """Outcome of one attack run."""
+    """Outcome of one attack run.
+
+    ``initial_accuracy`` and ``final_accuracy`` are measured before and
+    after the search.  Results of :meth:`BitFlipAttack.run` also carry
+    every attempt's accuracy (``accuracy_history``).
+    """
 
     initial_accuracy: float
+    final_accuracy: float
     attempts: list[FlipAttempt] = field(default_factory=list)
 
     @property
@@ -92,12 +110,6 @@ class AttackResult:
     @property
     def num_blocked(self) -> int:
         return sum(1 for a in self.attempts if not a.succeeded)
-
-    @property
-    def final_accuracy(self) -> float:
-        if not self.attempts:
-            return self.initial_accuracy
-        return self.attempts[-1].accuracy_after
 
     @property
     def accuracy_history(self) -> list[float]:
@@ -256,18 +268,33 @@ class BitFlipAttack:
             results.append((BitLocation(layer_index, index, bit), score))
         return results
 
-    def _attack_loss(self) -> float:
-        """Loss on the attack batch with current weights (forward only)."""
-        self.qmodel.model.eval()
+    def _candidate_loss(
+        self, location: BitLocation, inputs: list[np.ndarray] | None
+    ) -> float:
+        """Attack-batch loss with ``location`` flipped (flip, measure,
+        revert).
+
+        With the gradient pass's segment ``inputs`` the forward resumes at
+        the segment owning the flipped layer: the segments before it see
+        only base weights, so their captured outputs are this candidate's
+        too.  Without them (micro-batched gradient pass) it runs in full.
+        """
+        start = 0 if inputs is None else self.qmodel.segment_of(location.layer)
+        x = Tensor(self.attack_x if inputs is None else inputs[start])
+        self.qmodel.flip_bit(location)
         with no_grad():
-            logits = self.qmodel(Tensor(self.attack_x))
-            return F.cross_entropy(logits, self.attack_y).item()
+            logits = self.qmodel(x, start=start)
+            loss = F.cross_entropy(logits, self.attack_y).item()
+        self.qmodel.flip_bit(location)  # revert: restores the floats exactly
+        return loss
 
     def _select_flip(self) -> tuple[BitLocation, float] | None:
         """One full inter/intra-layer search step; returns (bit, est gain)."""
+        inputs = [] if self.config.grad_batch_size is None else None
+        # Also leaves the model in eval mode for the exact evaluations.
         loss_and_grads(
             self.qmodel.model, self.attack_x, self.attack_y,
-            batch_size=self.config.grad_batch_size,
+            batch_size=self.config.grad_batch_size, inputs=inputs,
         )
         per_layer = []
         for layer_index in range(self.qmodel.num_layers):
@@ -282,9 +309,7 @@ class BitFlipAttack:
         # attacker's copy (flip, measure, revert) and commit the best.
         best: tuple[BitLocation, float, float] | None = None
         for location, estimate in shortlist:
-            self.qmodel.flip_bit(location)
-            loss = self._attack_loss()
-            self.qmodel.flip_bit(location)  # revert
+            loss = self._candidate_loss(location, inputs)
             if best is None or loss > best[1]:
                 best = (location, loss, estimate)
         assert best is not None
@@ -300,27 +325,46 @@ class BitFlipAttack:
             batch_size=self.config.eval_batch_size,
         )
 
-    def run(self) -> AttackResult:
-        result = AttackResult(initial_accuracy=self.evaluate_accuracy())
+    def steps(self) -> Iterator[FlipAttempt]:
+        """The search loop: select, commit and yield one attempt at a time.
+
+        Accuracy is evaluated after an attempt only when ``stop_accuracy``
+        is set, because the stop rule reads it; otherwise nothing is
+        evaluated and ``accuracy_after`` is ``None``.  Callers that need
+        only the flips iterate this directly.
+        """
+        stop = self.config.stop_accuracy
         for iteration in range(self.config.max_iterations):
             selected = self._select_flip()
             if selected is None:
-                break  # no loss-increasing candidate remains
+                return  # no loss-increasing candidate remains
             location, estimate = selected
             succeeded = self.executor.execute(location)
             self._mark_tried(location)
-            accuracy = self.evaluate_accuracy()
-            result.attempts.append(
-                FlipAttempt(
-                    iteration=iteration,
-                    location=location,
-                    estimated_gain=estimate,
-                    succeeded=succeeded,
-                    loss_after=self._attack_loss(),
-                    accuracy_after=accuracy,
+            accuracy = None if stop is None else self.evaluate_accuracy()
+            yield FlipAttempt(iteration, location, estimate, succeeded, accuracy)
+            if accuracy is not None and accuracy <= stop:
+                return
+
+    def run(self) -> AttackResult:
+        """The search with its accuracy curve: one evaluation before it and
+        one after every attempt."""
+        initial = self.evaluate_accuracy()
+        attempts = []
+        for attempt in self.steps():
+            if attempt.accuracy_after is None:
+                attempt = replace(
+                    attempt, accuracy_after=self.evaluate_accuracy()
                 )
-            )
-            stop = self.config.stop_accuracy
-            if stop is not None and accuracy <= stop:
-                break
-        return result
+            attempts.append(attempt)
+        final = attempts[-1].accuracy_after if attempts else initial
+        return AttackResult(initial, final, attempts)
+
+    def run_endpoints(self) -> AttackResult:
+        """The search with the accuracy measured only before and after it
+        (the stop rule, when set, still measures every attempt)."""
+        if self.config.stop_accuracy is not None:
+            return self.run()
+        initial = self.evaluate_accuracy()
+        attempts = list(self.steps())
+        return AttackResult(initial, self.evaluate_accuracy(), attempts)

@@ -70,7 +70,7 @@ class BfaAttacker(Attacker):
             executor=context.flip_executor(),
             eval_x=eval_x, eval_y=eval_y,
         )
-        return _bfa_outcome(self.name, attack.run())
+        return _bfa_outcome(self.name, attack.run_endpoints())
 
 
 class AdaptiveAttacker(Attacker):
@@ -90,7 +90,8 @@ class AdaptiveAttacker(Attacker):
             eval_x=eval_x, eval_y=eval_y,
         )
         return _bfa_outcome(
-            self.name, attack.run(), known_secured_bits=len(secured)
+            self.name, attack.run_endpoints(),
+            known_secured_bits=len(secured),
         )
 
 
@@ -111,9 +112,9 @@ class SemiWhiteBoxAttacker(Attacker):
             executor=SoftwareFlipExecutor(context.qmodel),
             eval_x=eval_x, eval_y=eval_y,
         )
-        planned = planner.run().flips
+        planned = [a.location for a in planner.steps() if a.succeeded]
         context.qmodel.restore(snapshot)
-        return list(planned)
+        return planned
 
 
 class TbfaAttacker(Attacker):

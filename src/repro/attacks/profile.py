@@ -54,7 +54,8 @@ def profile_vulnerable_bits(
 
     The model is always restored to its pre-profiling weights, including
     after the last round; profiling is read-only from the deployment's
-    point of view.
+    point of view.  A round reads only its flips, so it evaluates accuracy
+    (on ``eval_x``/``eval_y``) only when ``config.stop_accuracy`` asks.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -73,12 +74,12 @@ def profile_vulnerable_bits(
                 eval_x=eval_x,
                 eval_y=eval_y,
             )
-            round_result = attack.run()
+            flips = [a.location for a in attack.steps() if a.succeeded]
             qmodel.restore(snapshot)
-            if not round_result.flips:
+            if not flips:
                 break  # search exhausted: no loss-increasing bits remain
-            result.rounds.append(round_result.flips)
-            skip.update(round_result.flips)
+            result.rounds.append(flips)
+            skip.update(flips)
     finally:
         qmodel.restore(snapshot)
     return result

@@ -120,6 +120,11 @@ class AttackContext:
 class AttackOutcome:
     """Uniform result of one attack execution, attacker-agnostic.
 
+    ``initial_accuracy`` and ``final_accuracy`` are measured on
+    :meth:`AttackContext.eval_batch` (batches of 256) right before the
+    attack's first flip and right after its last, so callers can take
+    them as the deployment's clean and post-attack accuracy.
+
     ``detail`` holds attacker-specific scalars (T-BFA success rate,
     smart-bfa's avoided column count …) that flow into scenario metrics
     via :meth:`as_metrics`.

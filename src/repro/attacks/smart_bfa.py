@@ -55,7 +55,7 @@ class SmartBfaAttacker(Attacker):
             eval_x=eval_x, eval_y=eval_y,
             skip_bit_positions=guarded,
         )
-        result = attack.run()
+        result = attack.run_endpoints()
         return AttackOutcome(
             attacker=self.name,
             initial_accuracy=result.initial_accuracy,

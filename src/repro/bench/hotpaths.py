@@ -23,6 +23,11 @@ never a slow twin kept only for the comparison:
   ``TimingChecker`` and a full ``CommandTrace`` attached vs unobserved
   (the command-observer overhead; parity asserts the observers leave the
   command stream byte-identical and timing-legal).
+* ``bfa_exact_eval`` — the BFA's exact evaluation of four shortlisted
+  candidates spread from early to late blocks: full forwards
+  (``start=0``) vs forwards resumed at each flipped layer's segment from
+  the inputs the gradient pass captured; parity demands bitwise-equal
+  losses.
 
 Every pair is parity-checked during the run: the two variants must
 produce identical functional results, and the recorded ``parity`` flag
@@ -43,6 +48,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.attacks.bfa import BitFlipAttack
 from repro.attacks.hammer import RowHammerAttacker
 from repro.core.defender import DNNDefender
 from repro.dram import (
@@ -57,6 +63,7 @@ from repro.dram import (
 from repro.mapping import build_protection_plan, place_model
 from repro.nn import QuantizedModel, make_resnet20
 from repro.nn.quant import BitLocation
+from repro.nn.train import loss_and_grads
 
 __all__ = ["HOTPATH_BENCHMARKS", "run_hotpath_suite", "format_suite"]
 
@@ -363,12 +370,54 @@ def bench_timing_checker(quick: bool) -> dict:
     )
 
 
+def bench_bfa_exact_eval(quick: bool) -> dict:
+    """BFA exact evaluation: full forwards vs resumed forwards.
+
+    Evaluates one candidate flip in each of four ResNet-20 blocks, early
+    to late, on a trial-sized attack batch (96 samples of 8x8).
+    ``before`` runs every candidate's full forward; ``after`` resumes
+    each at its layer's segment from the inputs that one gradient pass
+    captured, as the search does.  Parity demands bitwise-equal losses.
+    """
+    reps = 5 if quick else 20
+    qmodel = _bench_model()
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((96, 3, 8, 8)).astype(np.float32)
+    y = rng.integers(0, 10, size=96)
+    attack = BitFlipAttack(qmodel, x, y)
+    inputs: list[np.ndarray] = []
+    loss_and_grads(qmodel.model, x, y, inputs=inputs)
+    first_layer = {}
+    for index in range(qmodel.num_layers):
+        first_layer.setdefault(qmodel.segment_of(index), index)
+    candidates = [
+        BitLocation(first_layer[segment], 0, 6) for segment in (2, 4, 7, 9)
+    ]
+
+    def losses(captured):
+        return [attack._candidate_loss(c, captured) for c in candidates]
+
+    before = _timed(lambda: losses(None), reps)
+    after = _timed(lambda: losses(inputs), reps)
+    parity = losses(None) == losses(inputs)
+    return _entry(
+        "bfa_exact_eval",
+        f"exact evaluation of {len(candidates)} candidates in residual "
+        "blocks 2, 4, 7 and 9 of 9 (ResNet-20, 96 samples): full forwards "
+        "vs resumed at the flipped segment",
+        reps,
+        {"before": _stats(before), "after": _stats(after)},
+        parity,
+    )
+
+
 HOTPATH_BENCHMARKS: dict[str, Callable[[bool], dict]] = {
     "sync_post_window": bench_sync_post_window,
     "multi_bit_window": bench_multi_bit_window,
     "radar_detection_sweep": bench_radar_detection_sweep,
     "defended_vs_undefended": bench_defended_vs_undefended,
     "timing_checker": bench_timing_checker,
+    "bfa_exact_eval": bench_bfa_exact_eval,
 }
 
 

@@ -110,11 +110,24 @@ class ResNet(Module):
         self.pool = GlobalAvgPool2d()
         self.fc = Linear(channels, num_classes, rng=rng)
 
+    def _stem(self, x):
+        return self.relu(self.stem_bn(self.stem_conv(x)))
+
+    def _head(self, x):
+        return self.fc(self.pool(x))
+
+    def segments(self):
+        """Stem, each :class:`BasicBlock`, then the pooled classifier."""
+        return [
+            (self._stem, (self.stem_conv, self.stem_bn, self.relu)),
+            *((block, (block,)) for block in self.stages),
+            (self._head, (self.pool, self.fc)),
+        ]
+
     def forward(self, x):
-        out = self.relu(self.stem_bn(self.stem_conv(x)))
-        out = self.stages(out)
-        out = self.pool(out)
-        return self.fc(out)
+        for fn, _ in self.segments():
+            x = fn(x)
+        return x
 
 
 def make_resnet20(

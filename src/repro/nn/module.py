@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,6 +31,19 @@ class Module:
 
     def __call__(self, x):
         return self.forward(x)
+
+    def segments(self) -> list[tuple[Callable, tuple["Module", ...]]]:
+        """The forward pass as a chain of ``(fn, modules)`` segments.
+
+        Feeding each ``fn`` the previous one's output reproduces
+        :meth:`forward` byte for byte; ``modules`` are the sub-modules
+        whose weights that segment reads.  A segment's output therefore
+        depends only on its input and its own modules, so a caller that
+        changed weights in one segment can resume the forward there from
+        a captured input (:meth:`repro.nn.quant.QuantizedModel.__call__`).
+        The default is the whole forward as one segment.
+        """
+        return [(self.forward, (self,))]
 
     # ------------------------------------------------------------------ #
     # Registry walks

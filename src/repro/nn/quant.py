@@ -66,10 +66,18 @@ class QuantizedLayer:
         self.version = 0
         self._sync_float()
 
+    def _dequantize(self, ints: np.ndarray) -> np.ndarray:
+        """Float weights of ``ints``, the one formula every writer uses.
+
+        The scale is rounded to float32 before the product, so a weight's
+        float value depends only on its integer value: a flip followed by
+        its revert restores the float weights exactly, and the DRAM sync
+        path writes the same floats as the bit-flip path.
+        """
+        return ints.astype(np.float32) * self.scale
+
     def _sync_float(self) -> None:
-        self.module.weight.data[...] = (
-            self.weight_int.astype(np.float32) * self.scale
-        )
+        self.module.weight.data[...] = self._dequantize(self.weight_int)
 
     @property
     def num_weights(self) -> int:
@@ -86,7 +94,9 @@ class QuantizedLayer:
         if not -128 <= value <= 127:
             raise ValueError(f"int8 value out of range: {value}")
         self.weight_int.flat[index] = np.int8(value)
-        self.module.weight.data.flat[index] = np.float32(value * self.scale)
+        self.module.weight.data.flat[index] = self._dequantize(
+            self.weight_int.flat[index]
+        )
         self.version += 1
 
     def flip_bit(self, index: int, bit: int) -> float:
@@ -132,9 +142,7 @@ class QuantizedLayer:
             return
         ints = twos_complement_to_int8(data)
         self.weight_int.flat[offset:stop] = ints
-        self.module.weight.data.flat[offset:stop] = (
-            ints.astype(np.float32) * self.scale
-        )
+        self.module.weight.data.flat[offset:stop] = self._dequantize(ints)
         self.version += 1
 
     def grad_flat(self) -> np.ndarray:
@@ -162,6 +170,19 @@ class QuantizedModel:
                 self.layers.append(QuantizedLayer(name, module, qmax=qmax))
         if not self.layers:
             raise ValueError("model contains no quantizable layers")
+        # Segment of the model's forward that owns each layer: a change to
+        # layer k leaves the inputs of segments before segment_of(k) alone.
+        owner: dict[int, int] = {}
+        for index, (_, modules) in enumerate(model.segments()):
+            for module in modules:
+                for sub in module.modules():
+                    owner.setdefault(id(sub), index)
+        missing = [
+            layer.name for layer in self.layers if id(layer.module) not in owner
+        ]
+        if missing:
+            raise ValueError(f"no forward segment owns layers {missing}")
+        self._segments = [owner[id(layer.module)] for layer in self.layers]
 
     # ------------------------------------------------------------------ #
     # Shape queries
@@ -183,6 +204,12 @@ class QuantizedModel:
         if not 0 <= index < len(self.layers):
             raise ValueError(f"layer {index} out of range [0, {len(self.layers)})")
         return self.layers[index]
+
+    def segment_of(self, index: int) -> int:
+        """Index into ``model.segments()`` of the segment owning layer
+        ``index``."""
+        self.layer(index)  # range check
+        return self._segments[index]
 
     # ------------------------------------------------------------------ #
     # Bit manipulation
@@ -241,8 +268,23 @@ class QuantizedModel:
     # Forward helpers
     # ------------------------------------------------------------------ #
 
-    def __call__(self, x):
-        return self.model(x)
+    def __call__(self, x, start: int = 0):
+        """Forward pass from segment ``start`` of ``model.segments()``.
+
+        ``start=0`` is the full forward on the model input.  A larger
+        ``start`` resumes the forward with ``x`` the input of that segment,
+        as :func:`repro.nn.train.loss_and_grads` captures it: when only
+        layers of segment ``start`` or later changed since the capture,
+        the output equals the full forward's byte for byte.
+        """
+        segments = self.model.segments()
+        if not 0 <= start < len(segments):
+            raise ValueError(
+                f"start {start} out of range [0, {len(segments)})"
+            )
+        for fn, _ in segments[start:]:
+            x = fn(x)
+        return x
 
     def zero_grad(self) -> None:
         self.model.zero_grad()

@@ -88,6 +88,7 @@ def evaluate(
 def loss_and_grads(
     model: Module, x: np.ndarray, y: np.ndarray,
     batch_size: int | None = None,
+    inputs: list[np.ndarray] | None = None,
 ) -> float:
     """Forward/backward pass(es) in eval mode; returns the loss value.
 
@@ -108,17 +109,28 @@ def loss_and_grads(
     batch shapes (per-row results shift in the last mantissa bits) and
     slice partial sums are grouped per slice — parity-tested with tight
     tolerances in ``tests/nn/test_train_microbatch.py``.
+
+    ``inputs``, when given, receives the input of each of
+    ``model.segments()`` in the full-batch pass, in segment order:
+    :meth:`repro.nn.quant.QuantizedModel.__call__` resumes a forward
+    from them.  A micro-batched pass has no full-batch inputs to capture.
     """
     model.eval()
     model.zero_grad()
     n = x.shape[0]
     if batch_size is None or batch_size >= n:
-        logits = model(Tensor(x))
-        loss = F.cross_entropy(logits, y)
+        out = Tensor(x)
+        for fn, _ in model.segments():
+            if inputs is not None:
+                inputs.append(out.data)
+            out = fn(out)
+        loss = F.cross_entropy(out, y)
         loss.backward()
         return loss.item()
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if inputs is not None:
+        raise ValueError("inputs capture needs the full-batch pass")
     per_sample: list[np.ndarray] = []
     for start in range(0, n, batch_size):
         stop = start + batch_size

@@ -9,12 +9,14 @@ from repro.attacks.registry import (
     attacker_names,
     build_attacker,
     get_attacker,
+    iter_attackers,
     unregister_attacker,
 )
 from repro.defenses.protocol import DefenseContext, SecuredBitsDefense
 from repro.defenses.radar import RadarDefense
 from repro.defenses.registry import build_defense
 from repro.nn.quant import BitLocation
+from repro.nn.train import evaluate
 
 BUILTIN_ATTACKERS = {
     "random", "bfa", "adaptive", "semi-white-box", "tbfa", "smart-bfa",
@@ -150,6 +152,37 @@ class TestSmartBfa:
         smart = run("smart-bfa")
         plain = run("bfa")
         assert smart.flips == plain.flips  # no guards -> same search
+
+
+class TestOutcomeEndpoints:
+    """Tournament cells reuse ``initial_accuracy``/``final_accuracy`` as
+    their clean accuracy and floor, so both must equal an evaluation of
+    the test split right before and right after ``execute``."""
+
+    @pytest.mark.parametrize("defense_name", ["none", "radar"])
+    @pytest.mark.parametrize(
+        "name", [spec.name for spec in iter_attackers() if spec.tournament]
+    )
+    def test_endpoints_equal_surrounding_evaluations(
+        self, name, defense_name, quantized_factory, tiny_dataset
+    ):
+        qmodel = quantized_factory()
+        defense = build_defense(
+            defense_name, DefenseContext(qmodel=qmodel, dataset=tiny_dataset)
+        )
+        x_test, y_test = tiny_dataset.x_test, tiny_dataset.y_test
+        ctx = AttackContext(
+            qmodel=qmodel, dataset=tiny_dataset, seed=0, budget=4,
+            executor=defense.executor(), defense=defense,
+            eval_x=x_test, eval_y=y_test,
+        )
+        before = evaluate(qmodel.model, x_test, y_test)
+        outcome = build_attacker(name).execute(ctx)
+        after = evaluate(qmodel.model, x_test, y_test)
+        defense.close()
+        assert outcome.attempts > 0
+        assert outcome.initial_accuracy == before
+        assert outcome.final_accuracy == after
 
 
 class TestBfaSkipColumns:

@@ -50,7 +50,7 @@ class TestSuite:
     def test_all_paths_registered(self):
         assert set(HOTPATH_BENCHMARKS) == {
             "sync_post_window", "multi_bit_window", "radar_detection_sweep",
-            "defended_vs_undefended", "timing_checker",
+            "defended_vs_undefended", "timing_checker", "bfa_exact_eval",
         }
 
     def test_format_suite_renders(self, sync_suite):

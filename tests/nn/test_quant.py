@@ -108,6 +108,49 @@ class TestBitFlips:
         )
 
 
+def _assert_dequantized(layer):
+    expected = layer.weight_int.astype(np.float32) * layer.scale
+    assert layer.module.weight.data.tobytes() == expected.tobytes()
+
+
+class TestDequantization:
+    """Every integer-weight writer stores the same float for the same
+    integer, so the flip and DRAM-sync paths agree and a revert is exact."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["set_int", "flip_bit", "load_packed_slice"]),
+            st.integers(0, 47),
+            st.integers(-128, 127),
+        ),
+        min_size=1, max_size=8,
+    ))
+    def test_writers_store_dequantized_weights(self, ops):
+        _, qmodel = make_quantized(seed=12)
+        layer = qmodel.layer(0)  # 8 x 6 weights
+        for kind, index, value in ops:
+            if kind == "set_int":
+                layer.set_int(index, value)
+            elif kind == "flip_bit":
+                layer.flip_bit(index, value % 8)
+            else:
+                layer.load_packed_slice(
+                    index, np.array([value % 256], dtype=np.uint8)
+                )
+            _assert_dequantized(layer)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2), st.integers(0, 47), st.integers(0, 7))
+    def test_flip_then_revert_restores_float_weights(self, seed, index, bit):
+        _, qmodel = make_quantized(seed=seed)
+        layer = qmodel.layer(0)
+        before = layer.module.weight.data.copy()
+        layer.flip_bit(index, bit)
+        layer.flip_bit(index, bit)
+        assert layer.module.weight.data.tobytes() == before.tobytes()
+
+
 class TestPackedBytes:
     def test_roundtrip(self):
         _, qmodel = make_quantized(seed=9)
