@@ -64,8 +64,11 @@ class _BufferPool:
     (e.g. a conv graph discarded before ``backward``) are simply
     garbage-collected; the pool only ever misses, never corrupts.
 
-    Single-threaded by design, like the autograd engine itself; process
-    pools fork fresh interpreters and therefore fresh pools.
+    Only the main thread touches the pool: ``backward()``'s worker
+    threads run just the weight-gradient contraction on columns handed
+    to them, and ``conv2d`` returns those columns here on the main
+    thread after collecting the result.  Process pools fork fresh
+    interpreters and therefore fresh pools.
     """
 
     def __init__(self, max_per_key: int = 4):
@@ -232,15 +235,24 @@ def conv2d(
             cols = _im2col_into(
                 x.data, kh, kw, stride, padding, oh, ow, cols6
             )
+        # The weight gradient owns this pass's columns from here on.
+        pass_cols, pass_cols6 = cols, cols6
+        cols = cols6 = None
         grad2d = grad.reshape(n, f, oh * ow)              # (N, F, L)
-        if weight.requires_grad:
-            # Sum over batch of dout @ cols^T.
-            grad_w = np.einsum("nfl,nkl->fk", grad2d, cols)
-            Tensor._accumulate(weight, grad_w.reshape(weight.shape))
+        # Sum over batch of dout @ cols^T, on a backward worker when the
+        # weight is a leaf; the columns return to the pool only after
+        # the result is collected.
+        Tensor._accumulate_on_worker(
+            weight,
+            lambda: np.einsum(
+                "nfl,nkl->fk", grad2d, pass_cols
+            ).reshape(weight.shape),
+            lambda: _POOL.release(pass_cols6),
+        )
         if bias is not None and bias.requires_grad:
             Tensor._accumulate(bias, grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_cols = _POOL.acquire(cols.shape, grad.dtype)
+            grad_cols = _POOL.acquire(pass_cols.shape, grad.dtype)
             np.matmul(w2d.T, grad2d, out=grad_cols)       # (N, CKK, L)
             padded = _POOL.acquire(
                 (n, c, h + 2 * padding, w + 2 * padding), grad.dtype
@@ -251,9 +263,6 @@ def conv2d(
             Tensor._accumulate(x, grad_x)
             _POOL.release(grad_cols)
             _POOL.release(padded)
-        _POOL.release(cols6)
-        cols = None
-        cols6 = None
 
     return Tensor._make(out, parents, backward_fn)
 

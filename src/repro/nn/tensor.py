@@ -11,13 +11,30 @@ a node that remembers its parents and a closure that maps the node's output
 gradient to parent-gradient contributions.  ``Tensor.backward()`` runs the
 closures in reverse topological order.
 
+The engine's contract, which keeps every gradient bit equal to adding each
+contribution the moment it is made:
+
+* A non-leaf node's gradient is summed as its contributions arrive, because
+  its own closure reads it later in the traversal.
+* Nothing reads a leaf's gradient during the traversal, so contributions to
+  leaves are queued and applied in call order after it; the float additions
+  into each leaf's ``.grad`` happen in the same order as before.
+* Worker threads run only weight-gradient contractions
+  (:meth:`Tensor._accumulate_on_worker`, used by ``conv2d`` for leaf
+  weights), on operands nothing else writes until their result is
+  collected.  ``backward()`` opens one worker per CPU the process may use
+  and joins them before it returns or raises, so no thread outlives the
+  call and a process forked afterwards inherits none.
+
 Broadcasting follows numpy semantics; gradients are "unbroadcast" (summed
 over broadcast axes) when flowing back to a smaller parent.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
+import os
 from typing import Callable, Iterable
 
 import numpy as np
@@ -25,6 +42,8 @@ import numpy as np
 __all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = [True]
+# Leaf-gradient queues of the backward() calls under way, innermost last.
+_BACKWARD: list["_LeafQueue"] = []
 
 
 @contextlib.contextmanager
@@ -61,6 +80,44 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def _add_grad(tensor: "Tensor", grad: np.ndarray) -> None:
+    grad = _unbroadcast(grad, tensor.data.shape)
+    if tensor.grad is None:
+        tensor.grad = grad.astype(tensor.data.dtype, copy=True)
+    else:
+        tensor.grad += grad
+
+
+class _LeafQueue:
+    """One backward() call's contributions to leaf tensors, in call order.
+
+    An entry holds either an array or the future of a worker's
+    contraction together with a ``finish`` callback that runs on the
+    calling thread once the result is collected.
+    """
+
+    __slots__ = ("pool", "entries")
+
+    def __init__(self, pool: concurrent.futures.Executor):
+        self.pool = pool
+        self.entries: list[tuple] = []
+
+    def apply(self) -> None:
+        for leaf, grad, finish in self.entries:
+            if finish is not None:
+                grad = grad.result()
+                finish()
+            _add_grad(leaf, grad)
 
 
 class Tensor:
@@ -138,11 +195,38 @@ class Tensor:
     def _accumulate(parent: "Tensor", grad: np.ndarray) -> None:
         if not parent.requires_grad:
             return
-        grad = _unbroadcast(grad, parent.data.shape)
-        if parent.grad is None:
-            parent.grad = grad.astype(parent.data.dtype, copy=True)
+        if parent._backward_fn is None and _BACKWARD:
+            # A leaf, applied after the traversal.  Copied now: callers
+            # may hand over a view of a scratch buffer they reuse.
+            grad = np.array(_unbroadcast(grad, parent.data.shape))
+            _BACKWARD[-1].entries.append((parent, grad, None))
+            return
+        _add_grad(parent, grad)
+
+    @staticmethod
+    def _accumulate_on_worker(
+        parent: "Tensor",
+        compute: Callable[[], np.ndarray],
+        finish: Callable[[], None],
+    ) -> None:
+        """Add ``compute()``, a gradient of ``parent``'s shape, to ``parent``.
+
+        For a leaf inside ``backward()``, ``compute`` runs on a worker
+        thread and its result is applied in call order after the
+        traversal; ``compute`` must read only operands that nothing
+        writes until then.  Otherwise (a computed tensor, whose own
+        closure reads its gradient later in the traversal) it runs here
+        at once.  ``finish`` runs on this thread after the result has
+        been collected.
+        """
+        if not parent.requires_grad:
+            finish()
+        elif parent._backward_fn is None and _BACKWARD:
+            queue = _BACKWARD[-1]
+            queue.entries.append((parent, queue.pool.submit(compute), finish))
         else:
-            parent.grad += grad
+            _add_grad(parent, compute())
+            finish()
 
     # ------------------------------------------------------------------ #
     # Backward pass
@@ -175,9 +259,18 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.asarray(grad, dtype=self.data.dtype)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        # Leaving the block joins the workers, also when a closure raises.
+        with concurrent.futures.ThreadPoolExecutor(
+            max_workers=_cpu_count(), thread_name_prefix="backward"
+        ) as pool:
+            _BACKWARD.append(_LeafQueue(pool))
+            try:
+                for node in reversed(topo):
+                    if node._backward_fn is not None and node.grad is not None:
+                        node._backward_fn(node.grad)
+            finally:
+                leaves = _BACKWARD.pop()
+        leaves.apply()
 
     # ------------------------------------------------------------------ #
     # Elementwise arithmetic
