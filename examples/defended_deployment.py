@@ -28,12 +28,11 @@ def main() -> None:
             row_bytes=256,
         ),
         timing=TimingParams(t_rh=1000),
-        profile_rounds=2,
-        profile_config=BfaConfig(max_iterations=8, exact_eval_top=4),
-        attack_batch_size=96,
+        defense_params={"profile_rounds": 2},
         seed=0,
     )
-    plan = deployment.protection.plan
+    defender = deployment.defense.defender
+    plan = defender.plan
     print(f"clean accuracy:   {deployment.accuracy():.2%}")
     print(f"secured bits:     {len(plan.secured_bits)}")
     print(f"target rows:      {plan.num_target_rows}")
@@ -49,7 +48,7 @@ def main() -> None:
         config=BfaConfig(max_iterations=8, exact_eval_top=4),
         eval_x=preset.dataset.x_test, eval_y=preset.dataset.y_test,
     )
-    stats = deployment.defender.stats
+    stats = defender.stats
     print(f"planned flips:    {len(result.planned_sequence)}")
     print(f"landed / blocked: {len(result.landed)} / {len(result.blocked)}")
     print(f"accuracy:         {result.initial_accuracy:.2%} -> "
@@ -57,7 +56,7 @@ def main() -> None:
     print(f"defender swaps:   {stats.swaps_executed} "
           f"(+{stats.non_targets_refreshed} non-target refreshes)")
     print(f"defender latency: "
-          f"{deployment.defender.latency_per_tref_ms():.3f} ms per T_ref")
+          f"{defender.latency_per_tref_ms():.3f} ms per T_ref")
     print("\nThe planned sequence targeted profiled rows; the defender's "
           "swaps refreshed them inside every hammer window, so the attack "
           "landed almost nothing.")

@@ -9,7 +9,7 @@ Sub-packages:
     ``repro.nn``       -- from-scratch numpy DNN framework + 8-bit quantization
     ``repro.mapping``  -- weight-to-DRAM placement ("mapping file")
     ``repro.attacks``  -- BFA, random flips, adaptive attacks, hammer driver
-    ``repro.core``     -- DNN-Defender: swaps, pipelining, priority protection
+    ``repro.core``     -- DNN-Defender: swaps, pipelining, runtime, deployment
     ``repro.defenses`` -- RRS/SRS/SHADOW/trackers + software defenses
     ``repro.analysis`` -- Table 2 / Fig. 8 analytics + experiment harnesses
     ``repro.presets``  -- trained model/dataset recipes used by experiments

@@ -10,7 +10,6 @@ from repro.core.pipeline import (
     chain_latency_ns,
     max_swaps_per_window,
 )
-from repro.core.priority import PriorityProtection, build_priority_plan
 from repro.core.swap import SwapEngine, SwapRecord
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "chain_aap_count",
     "chain_latency_ns",
     "max_swaps_per_window",
-    "PriorityProtection",
-    "build_priority_plan",
     "SwapEngine",
     "SwapRecord",
 ]

@@ -1,33 +1,29 @@
 """One-call wiring of the full defended system.
 
 Builds the stack the paper's Fig. 7 framework evaluates: quantize a trained
-model, place it in simulated DRAM, profile its vulnerable bits, and stand up
-a defense over it.  Examples, benchmarks and integration tests all start
-here.
+model, place it in simulated DRAM, and stand up a defense over it.  Examples,
+benchmarks and integration tests all start here.
 
 The ``defense`` argument resolves through the defense registry
-(:mod:`repro.defenses.registry`): the default ``"dnn-defender"`` keeps the
-historical path — profile vulnerable bits, build the priority plan, attach
-the hooked :class:`~repro.core.defender.DNNDefender` — while any other
-registered name (``"radar"``, ``"shadow"``, ``"none"`` …) builds that
-defense over the placed model instead.  Either way the deployment exposes
-the uniform :class:`~repro.defenses.protocol.Defense` surface on
-``deployment.defense``, and ``attacker=`` names a registered attacker that
-:meth:`DefendedDeployment.run_attack` executes against the deployment.
+(:mod:`repro.defenses.registry`), the one place every defense is built.  The
+builder receives the placed model's :class:`~repro.mapping.layout.WeightLayout`,
+so the default ``"dnn-defender"`` profiles vulnerable bits (through the
+profile cache when ``trial`` and ``preset_name`` are given) and runs the
+hooked :class:`~repro.core.defender.DNNDefender` over their rows, while any
+other registered name (``"radar"``, ``"shadow"``, ``"none"`` …) builds that
+defense over the placed model.  The deployment exposes the uniform
+:class:`~repro.defenses.protocol.Defense` surface on ``deployment.defense``,
+the hammer driver ticks it between bursts, and ``attacker=`` names a
+registered attacker that :meth:`DefendedDeployment.run_attack` executes
+against the deployment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
-import numpy as np
-
-from repro.attacks.bfa import BfaConfig
-from repro.attacks.executor import LogicalDefenseExecutor
 from repro.attacks.hammer import HammerExecutor, RowHammerAttacker
-from repro.core.config import DefenderConfig
-from repro.core.defender import DNNDefender
-from repro.core.priority import PriorityProtection, build_priority_plan
 from repro.dram.controller import MemoryController
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
@@ -36,7 +32,7 @@ from repro.dram.timing_rules import TimingChecker
 from repro.mapping.layout import WeightLayout
 from repro.nn.data import Dataset
 from repro.nn.module import Module
-from repro.nn.quant import BitLocation, QuantizedModel
+from repro.nn.quant import QuantizedModel
 from repro.nn.train import evaluate
 
 __all__ = ["DefendedDeployment"]
@@ -46,17 +42,14 @@ __all__ = ["DefendedDeployment"]
 class DefendedDeployment:
     """A quantized model living in defended DRAM.
 
-    ``protection`` and ``defender`` are populated only on the default
-    ``defense="dnn-defender"`` path; registry-built defenses carry their
-    whole mechanism on ``defense``.
+    ``defense`` carries the whole mechanism; for DNN-Defender,
+    ``defense.defender`` is the live swap defender.
     """
 
     dataset: Dataset
     qmodel: QuantizedModel
     controller: MemoryController
     layout: WeightLayout
-    protection: PriorityProtection | None = None
-    defender: DNNDefender | None = None
     checker: "TimingChecker | None" = None
     defense: object | None = None
     defense_name: str = "dnn-defender"
@@ -71,26 +64,25 @@ class DefendedDeployment:
         dataset: Dataset,
         geometry: DramGeometry,
         timing: TimingParams,
-        profile_rounds: int = 2,
-        profile_config: BfaConfig | None = None,
-        defender_config: DefenderConfig | None = None,
-        attack_batch_size: int = 128,
         reserved_rows: int = 2,
-        extra_secured_bits: set[BitLocation] | None = None,
         timing_check: str = "off",
         seed: int = 0,
         defense: str = "dnn-defender",
         attacker: str | None = None,
         defense_params: dict | None = None,
+        trial: Any = None,
+        preset_name: str | None = None,
     ) -> "DefendedDeployment":
         """Quantize, place, and defend ``model``.
 
         ``defense`` names a registered defense
-        (``repro.defenses.registry``); the default ``"dnn-defender"``
-        profiles vulnerable bits and attaches the hooked defender exactly
-        as before, any other name builds that defense over the placed
-        model (``defense_params`` feed its builder).  ``attacker`` names
-        a registered attacker for :meth:`run_attack`.
+        (``repro.defenses.registry``), built over the placed model with
+        ``defense_params`` feeding its builder (DNN-Defender reads
+        ``profile_rounds``, ``profile_iterations`` and ``attack_batch``).
+        ``trial`` (a :class:`repro.experiments.TrialContext`) and
+        ``preset_name`` let a profiling defense reuse the on-disk profile
+        cache.  ``attacker`` names a registered attacker for
+        :meth:`run_attack`.
 
         ``timing_check`` attaches a :class:`TimingChecker` to the
         controller before any command is issued: ``"strict"`` raises on
@@ -98,7 +90,9 @@ class DefendedDeployment:
         stack, ``"audit"`` collects violations on ``deployment.checker``
         for later inspection, ``"off"`` (default) adds no observer.
         """
-        rng = np.random.default_rng(seed)
+        from repro.defenses.protocol import DefenseContext
+        from repro.defenses.registry import build_defense
+
         qmodel = QuantizedModel(model)
         controller = MemoryController(DramDevice(geometry), timing)
         checker = (
@@ -108,53 +102,24 @@ class DefendedDeployment:
         layout = WeightLayout(
             qmodel, controller, reserved_rows=reserved_rows, seed=seed
         )
-        protection = None
-        defender = None
-        defense_obj = None
-        if defense == "dnn-defender":
-            attack_x, attack_y = dataset.attack_batch(attack_batch_size, rng)
-            protection = build_priority_plan(
-                layout,
-                attack_x,
-                attack_y,
-                rounds=profile_rounds,
-                config=profile_config,
-                extra_bits=extra_secured_bits,
-            )
-            defender = DNNDefender(
-                controller,
-                protection.plan,
-                config=defender_config,
-                reserved_rows=reserved_rows,
-            )
-            from repro.defenses.protocol import SecuredBitsDefense
-
-            # Protocol view over the hooked defender: same secured set,
-            # so attackers query protected_bits() uniformly.
-            defense_obj = SecuredBitsDefense(qmodel, defender.secured_bits)
-        else:
-            from repro.defenses.protocol import DefenseContext
-            from repro.defenses.registry import build_defense
-
-            defense_obj = build_defense(
-                defense,
-                DefenseContext(
-                    qmodel=qmodel,
-                    dataset=dataset,
-                    seed=seed,
-                    params=dict(defense_params or {}),
-                    controller=controller,
-                    timing=timing,
-                ),
-            )
-            qmodel = defense_obj.qmodel  # transforms may replace the model
+        defense_obj = build_defense(
+            defense,
+            DefenseContext(
+                qmodel=qmodel,
+                dataset=dataset,
+                seed=seed,
+                params=dict(defense_params or {}),
+                layout=layout,
+                timing=timing,
+                trial=trial,
+                preset_name=preset_name,
+            ),
+        )
         return cls(
             dataset=dataset,
-            qmodel=qmodel,
+            qmodel=defense_obj.qmodel,  # transforms may replace the model
             controller=controller,
             layout=layout,
-            protection=protection,
-            defender=defender,
             checker=checker,
             defense=defense_obj,
             defense_name=defense,
@@ -188,26 +153,17 @@ class DefendedDeployment:
 
     def hammer_executor(self, chunks_per_window: int = 4) -> HammerExecutor:
         """Full-DRAM attack path: flips go through hammered activations with
-        the defender ticking in between."""
+        the defense ticking in between."""
         attacker = RowHammerAttacker(
             self.controller,
             self.layout,
-            defense=self.defender,
+            defense=self.defense,
             chunks_per_window=chunks_per_window,
         )
         return HammerExecutor(attacker)
 
-    def logical_executor(self) -> LogicalDefenseExecutor:
-        """Fast analytical path with the same secured-bit semantics."""
-        if self.defender is None:
-            raise ValueError(
-                f"deployment built with defense={self.defense_name!r} has "
-                "no DNN-Defender secured-bit set; use flip_executor()"
-            )
-        return LogicalDefenseExecutor(self.qmodel, self.defender.secured_bits)
-
     def flip_executor(self):
-        """The deployment's defense-wrapped flip path, defense-agnostic."""
+        """The deployment's defense-wrapped logical flip path."""
         return self.defense.executor()
 
     def attack_context(self, budget: int = 25, params: dict | None = None):

@@ -13,6 +13,7 @@ from repro.defenses.protocol import (
     ModelTransformDefense,
     ReconstructionDefense,
     SecuredBitsDefense,
+    SwapDefense,
     UndefendedDefense,
 )
 from repro.defenses.radar import RadarDefense, RadarExecutor
@@ -53,6 +54,7 @@ __all__ = [
     "ModelTransformDefense",
     "ReconstructionDefense",
     "SecuredBitsDefense",
+    "SwapDefense",
     "UndefendedDefense",
     "RadarDefense",
     "RadarExecutor",

@@ -6,9 +6,11 @@ software defenses of Table 3 (reconstruction, binarize, clustering,
 capacity), and RADAR.  Builders receive a
 :class:`repro.defenses.protocol.DefenseContext`:
 
-* with a live ``controller`` the swap/counter baselines attach their
-  controller-hooked hardware model (detached again by ``close()``);
-* without one they fall back to the behavioural block/deflect model the
+* with a DRAM ``layout`` (and so a live ``controller``) DNN-Defender
+  runs its hooked swap defender and the swap/counter baselines attach
+  their controller-hooked hardware model (detached again by ``close()``);
+* without one DNN-Defender is its logical secured-bit set and the
+  baselines fall back to the behavioural block/deflect model the
   ``table3`` scenario calibrated, which is the tournament's logical
   attack path.
 """
@@ -24,6 +26,7 @@ from repro.defenses.protocol import (
     ModelTransformDefense,
     ReconstructionDefense,
     SecuredBitsDefense,
+    SwapDefense,
     UndefendedDefense,
 )
 from repro.defenses.radar import RadarDefense
@@ -63,20 +66,27 @@ def _build_none(context: DefenseContext) -> Defense:
 def _build_dnn_defender(context: DefenseContext) -> Defense:
     """Profile vulnerable bits and secure their DRAM rows.
 
-    Logical form of the paper's defense: the multi-round BFA profile
-    picks the high-damage bits, row expansion secures everything
-    sharing their rows, and flips on secured bits are blocked.  The
-    profile goes through the on-disk cache when the trial context and
-    preset name are supplied.
+    The multi-round BFA profile picks the high-damage bits.  On a DRAM
+    layout the profiled bits' rows become the hooked
+    :class:`~repro.core.defender.DNNDefender`'s swap targets, refreshed
+    on every hammer-driver tick.  Without one (the logical path) row
+    expansion secures everything sharing their rows, and flips on
+    secured bits are blocked.  The profile goes through the on-disk
+    cache when the trial context and preset name are supplied.
     """
     from repro.analysis.defense_eval import expand_bits_to_rows
     from repro.attacks.bfa import BfaConfig
     from repro.attacks.profile import profile_vulnerable_bits
+    from repro.core.defender import DNNDefender
+    from repro.mapping.victim import build_protection_plan
 
     dataset = _require_dataset(context, "dnn-defender")
     rounds = int(context.param("profile_rounds", 4))
     attack_batch = int(context.param("attack_batch", 96))
-    config = BfaConfig(max_iterations=8, exact_eval_top=4)
+    config = BfaConfig(
+        max_iterations=int(context.param("profile_iterations", 8)),
+        exact_eval_top=4,
+    )
     x, y = dataset.attack_batch(attack_batch, context.rng())
     if context.trial is not None and context.preset_name is not None:
         profile = context.trial.profile(
@@ -92,8 +102,17 @@ def _build_dnn_defender(context: DefenseContext) -> Defense:
         profile = profile_vulnerable_bits(
             context.qmodel, x, y, rounds=rounds, config=config
         )
-    secured = expand_bits_to_rows(context.qmodel, profile.all_bits)
-    return SecuredBitsDefense(context.qmodel, secured)
+    layout = context.layout
+    if layout is None:
+        secured = expand_bits_to_rows(context.qmodel, profile.all_bits)
+        return SecuredBitsDefense(context.qmodel, secured)
+    plan = build_protection_plan(layout, profile.all_bits)
+    return SwapDefense(
+        context.qmodel,
+        DNNDefender(
+            layout.controller, plan, reserved_rows=layout.reserved_rows
+        ),
+    )
 
 
 @defense("rrs", title="Randomized Row-Swap (aggressor-focused)",

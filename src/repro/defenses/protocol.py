@@ -5,8 +5,9 @@ guards, RADAR — presents the same lifecycle to deployments and to the
 ``tournament-matrix`` scenario:
 
 * **build from a deployment context** — a registered builder receives a
-  :class:`DefenseContext` (victim model, dataset, seed, and optionally a
-  live memory controller) and returns a :class:`Defense`.
+  :class:`DefenseContext` (victim model, dataset, seed, and optionally the
+  deployment's DRAM weight layout with its live memory controller) and
+  returns a :class:`Defense`.
 * **attack surface** — :meth:`Defense.executor` yields the
   :class:`repro.attacks.executor.FlipExecutor` an attacker's flips go
   through; hardware-context defenses instead react from controller hooks
@@ -36,8 +37,10 @@ import numpy as np
 from repro.defenses.base import DefenseStats
 
 if TYPE_CHECKING:  # imported lazily to keep the defense layer light
+    from repro.core.defender import DNNDefender
     from repro.dram.controller import MemoryController
     from repro.dram.timing import TimingParams
+    from repro.mapping.layout import WeightLayout
     from repro.nn.data import Dataset
     from repro.nn.quant import BitLocation, QuantizedModel
 
@@ -46,6 +49,7 @@ __all__ = [
     "Defense",
     "UndefendedDefense",
     "SecuredBitsDefense",
+    "SwapDefense",
     "BehavioralDefense",
     "HookedDefenseAdapter",
     "ModelTransformDefense",
@@ -58,20 +62,27 @@ class DefenseContext:
     """Everything a registered defense builder may consume.
 
     The logical (tournament) path supplies ``qmodel`` + ``dataset`` +
-    ``seed``; the DRAM path additionally supplies the live
-    ``controller`` (whose timing parameters then drive latency
-    accounting).  ``trial`` and ``preset_name``, when present, let
-    profile-based defenses reuse the on-disk profile cache.
+    ``seed``; the DRAM path additionally supplies the deployment's
+    ``layout`` (the weight bit -> DRAM row map), whose live
+    :attr:`controller` hooked defenses attach to and whose timing
+    parameters then drive latency accounting.  ``trial`` and
+    ``preset_name``, when present, let profile-based defenses reuse the
+    on-disk profile cache.
     """
 
     qmodel: "QuantizedModel"
     dataset: "Dataset | None" = None
     seed: int = 0
     params: Mapping[str, Any] = field(default_factory=dict)
-    controller: "MemoryController | None" = None
+    layout: "WeightLayout | None" = None
     timing: "TimingParams | None" = None
     trial: Any = None              # repro.experiments.runner.TrialContext
     preset_name: str | None = None
+
+    @property
+    def controller(self) -> "MemoryController | None":
+        """The layout's live controller (``None`` on the logical path)."""
+        return self.layout.controller if self.layout is not None else None
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         """Independent seeded generator for sub-component ``stream``."""
@@ -206,6 +217,23 @@ class SecuredBitsDefense(Defense):
         self.stats.notes["landed"] = self._executor.flips_performed
         self.stats.notes["secured_bits"] = len(self._secured)
         return self.stats
+
+
+class SwapDefense(SecuredBitsDefense):
+    """DNN-Defender on a live controller: the paper's swap defense.
+
+    Keeps :class:`SecuredBitsDefense`'s secured set and logical
+    executor, and adds the hooked
+    :class:`~repro.core.defender.DNNDefender` that swap-refreshes the
+    rows holding the secured bits whenever the hammer driver ticks.
+    """
+
+    def __init__(self, qmodel: "QuantizedModel", defender: "DNNDefender"):
+        super().__init__(qmodel, defender.secured_bits)
+        self.defender = defender
+
+    def tick(self) -> None:
+        self.defender.tick()
 
 
 class BehavioralDefense(Defense):

@@ -52,6 +52,7 @@ from repro.core import (
     build_timeline,
     chain_aap_count,
 )
+from repro.defenses import DefenseContext, build_defense
 from repro.dram import (
     PAPER_GEOMETRY,
     REFRESH_COMMANDS_PER_TREF,
@@ -77,42 +78,6 @@ __all__ = ["functional_latency_ms", "BEHAVIORAL_DEFENSES"]
 # the defense registry (``repro.defenses.behavioral``) and is re-exported
 # here unchanged for the scenarios and their callers.
 from repro.defenses.behavioral import BEHAVIORAL_DEFENSES  # noqa: E402
-
-
-def _behavioral_executor(qmodel, name, rng):
-    block, collateral = BEHAVIORAL_DEFENSES[name]
-    return BehavioralDefenseExecutor(
-        qmodel, block_prob=block, collateral_prob=collateral, rng=rng
-    )
-
-
-def _dnn_defender_executor(qmodel, dataset, attack_batch, rounds,
-                           profile_config, rng, ctx=None, preset_name=None,
-                           seed=None):
-    """Profile vulnerable bits and secure their DRAM rows (the paper's
-    protection granularity); returns the defended flip executor.
-
-    When the trial context and preset name are supplied, the profile goes
-    through the on-disk :class:`repro.experiments.ProfileCache` keyed by
-    (preset recipe, attack config, seed) — a warm cache replays the
-    rounds instead of re-running the multi-round BFA search.
-    """
-    x, y = dataset.attack_batch(attack_batch, rng)
-    if ctx is not None and preset_name is not None:
-        profile = ctx.profile(
-            preset_name, qmodel, x, y, rounds=rounds, config=profile_config,
-            extra_key={
-                "attack_batch": attack_batch,
-                "seed": seed,
-                "purpose": "dnn-defender-executor",
-            },
-        )
-    else:
-        profile = profile_vulnerable_bits(
-            qmodel, x, y, rounds=rounds, config=profile_config
-        )
-    secured = expand_bits_to_rows(qmodel, profile.all_bits)
-    return LogicalDefenseExecutor(qmodel, secured)
 
 
 # ---------------------------------------------------------------------- #
@@ -685,31 +650,29 @@ def table3(ctx):
         )
     )
 
-    # 7/8/9. RRS / SRS / SHADOW behavioural models.
-    for name in BEHAVIORAL_DEFENSES:
+    # 7-10. RRS / SRS / SHADOW behavioural models and DNN-Defender under
+    # the adaptive white-box attacker, built by the defense registry.
+    defense_params = {
+        "profile_rounds": 6,
+        "profile_iterations": 10,
+        "attack_batch": int(ctx.param("attack_batch", 96)),
+    }
+    for name in (*BEHAVIORAL_DEFENSES, "DNN-Defender"):
         qmodel = QuantizedModel(preset.fresh_model())
-        executor = _behavioral_executor(
-            qmodel, name, np.random.default_rng(seed + 7)
+        defense = build_defense(
+            name.lower(),
+            DefenseContext(
+                qmodel=qmodel, dataset=dataset, seed=seed,
+                params=defense_params, trial=ctx,
+                preset_name="resnet20_cifar",
+            ),
         )
         rows.append(
             evaluate_defense_row(
-                name, qmodel, dataset, executor=executor, **attack_kw
+                name, qmodel, dataset, executor=defense.executor(),
+                **attack_kw,
             )
         )
-
-    # 10. DNN-Defender under the adaptive white-box attacker.
-    qmodel = QuantizedModel(preset.fresh_model())
-    executor = _dnn_defender_executor(
-        qmodel, dataset, attack_batch=int(ctx.param("attack_batch", 96)),
-        rounds=6, profile_config=BfaConfig(max_iterations=10, exact_eval_top=4),
-        rng=np.random.default_rng(seed),
-        ctx=ctx, preset_name="resnet20_cifar", seed=seed,
-    )
-    rows.append(
-        evaluate_defense_row(
-            "DNN-Defender", qmodel, dataset, executor=executor, **attack_kw
-        )
-    )
 
     metrics = {}
     for row in rows:
@@ -939,10 +902,10 @@ def semi_whitebox(ctx):
             row_bytes=256,
         ),
         timing=TimingParams(t_rh=1000),
-        profile_rounds=2,
-        profile_config=BfaConfig(max_iterations=8, exact_eval_top=4),
-        attack_batch_size=96,
+        defense_params={"profile_rounds": 2},
         seed=ctx.seed,
+        trial=ctx,
+        preset_name="resnet20_cifar",
     )
     rng = np.random.default_rng(ctx.seed + 1)
     x, y = preset.dataset.attack_batch(96, rng)
@@ -960,7 +923,9 @@ def semi_whitebox(ctx):
             "initial_accuracy": result.initial_accuracy,
             "final_accuracy": result.final_accuracy,
             "accuracy_drop": result.accuracy_drop,
-            "defender_swaps": float(deployment.defender.stats.swaps_executed),
+            "defender_swaps": float(
+                deployment.defense.defender.stats.swaps_executed
+            ),
         },
         "detail": {},
     }
@@ -1033,17 +998,25 @@ def sweep_defense_grid(ctx):
         qmodel = QuantizedModel(preset.fresh_model())
         executor = None
         if name == "dnn-defender":
-            executor = _dnn_defender_executor(
-                qmodel, dataset, attack_batch=attack_kw["attack_batch"],
-                rounds=int(ctx.param("profile_rounds", 4)),
-                profile_config=BfaConfig(max_iterations=8, exact_eval_top=4),
-                rng=np.random.default_rng(seed),
-                ctx=ctx, preset_name=str(ctx.param("model", "resnet20_cifar")),
-                seed=seed,
-            )
+            executor = build_defense(
+                name,
+                DefenseContext(
+                    qmodel=qmodel, dataset=dataset, seed=seed,
+                    params={
+                        "profile_rounds": int(ctx.param("profile_rounds", 4)),
+                        "attack_batch": attack_kw["attack_batch"],
+                    },
+                    trial=ctx,
+                    preset_name=str(ctx.param("model", "resnet20_cifar")),
+                ),
+            ).executor()
         elif name in BEHAVIORAL_DEFENSES:
-            executor = _behavioral_executor(
-                qmodel, name, ctx.rng(stream=100 + index)
+            # A stream per row: the registry's behavioural builders all
+            # draw stream 7, and this grid's artifacts use these streams.
+            block, collateral = BEHAVIORAL_DEFENSES[name]
+            executor = BehavioralDefenseExecutor(
+                qmodel, block_prob=block, collateral_prob=collateral,
+                rng=ctx.rng(stream=100 + index),
             )
         row = evaluate_defense_row(
             name, qmodel, dataset, executor=executor, **attack_kw
@@ -1384,10 +1357,13 @@ def sweep_attack_trh(ctx):
                     row_bytes=256,
                 ),
                 timing=TimingParams(t_rh=t_rh),
-                profile_rounds=int(ctx.param("profile_rounds", 2)),
-                profile_config=BfaConfig(max_iterations=8, exact_eval_top=4),
-                attack_batch_size=attack_batch,
+                defense_params={
+                    "profile_rounds": int(ctx.param("profile_rounds", 2)),
+                    "attack_batch": attack_batch,
+                },
                 seed=ctx.seed,
+                trial=ctx,
+                preset_name=model,
             )
             outcome = semi_white_box_attack(
                 deployment.qmodel, x, y,

@@ -7,10 +7,14 @@ under ``src/repro`` must come back empty after the committed baseline
 ``src/`` fails this test with the full diagnostic text.
 """
 
+import pytest
+
 from repro.analysis.lint import repo_root, run_lint
 
 
-def _lint_src():
+@pytest.fixture(scope="module")
+def report():
+    """One whole-program lint of ``src/``, shared by the module's tests."""
     root = repo_root()
     baseline = root / "lint-baseline.json"
     return run_lint(
@@ -21,30 +25,26 @@ def _lint_src():
     )
 
 
-def test_src_tree_has_no_live_findings():
-    report = _lint_src()
+def test_src_tree_has_no_live_findings(report):
     assert report.parse_errors == []
     rendered = "\n".join(f.format_text() for f in report.findings)
     assert report.findings == [], f"new lint findings:\n{rendered}"
 
 
-def test_src_tree_was_actually_scanned():
-    report = _lint_src()
+def test_src_tree_was_actually_scanned(report):
     # The analyzer must really have walked the tree — guard against a
     # silently-empty discovery making the gate vacuous.
     assert report.files_checked > 80
 
 
-def test_baseline_is_not_a_dumping_ground():
+def test_baseline_is_not_a_dumping_ground(report):
     # The committed baseline exists to ramp new rules in, not to bury
     # violations forever; keep it empty-or-tiny and force a conscious
     # review when it grows.
-    report = _lint_src()
     assert report.baselined <= 5
 
 
-def test_flow_graph_covers_the_tree():
-    report = _lint_src()
+def test_flow_graph_covers_the_tree(report):
     graph = report.graph
     assert graph is not None
     # Every module parsed lands in the index, and the call graph is
@@ -84,8 +84,7 @@ def test_every_function_def_is_a_graph_node():
         )
 
 
-def test_only_sanctioned_dead_suppressions():
-    report = _lint_src()
+def test_only_sanctioned_dead_suppressions(report):
     # REP006's fast-math exemption is forward-looking (the ROADMAP's
     # planned nn/fast_math.py tier) and deliberately kept; anything
     # else dead must be cleaned up or consciously added here.

@@ -214,7 +214,7 @@ class TestDoubleSidedHammer:
             RowHammerAttacker(mc, layout, sided="triple")
 
     def test_defender_blocks_double_sided(self, fresh_model, tiny_dataset):
-        from repro.attacks import BfaConfig, HammerExecutor, RowHammerAttacker
+        from repro.attacks import HammerExecutor, RowHammerAttacker
         from repro.core import DefendedDeployment
 
         deployment = DefendedDeployment.build(
@@ -225,17 +225,15 @@ class TestDoubleSidedHammer:
                 row_bytes=128,
             ),
             timing=TimingParams(t_rh=1000),
-            profile_rounds=2,
-            profile_config=BfaConfig(max_iterations=5),
-            attack_batch_size=96,
+            defense_params={"profile_rounds": 2, "profile_iterations": 5},
             seed=0,
         )
         attacker = RowHammerAttacker(
             deployment.controller,
             deployment.layout,
-            defense=deployment.defender,
+            defense=deployment.defense,
             sided="double",
         )
         executor = HammerExecutor(attacker)
-        secured = sorted(deployment.defender.secured_bits)[0]
+        secured = sorted(deployment.defense.protected_bits())[0]
         assert not executor.execute(secured)

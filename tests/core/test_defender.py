@@ -27,17 +27,16 @@ def deployment(fresh_model, tiny_dataset):
         tiny_dataset,
         geometry=GEOMETRY,
         timing=TIMING,
-        profile_rounds=2,
-        profile_config=BfaConfig(max_iterations=5),
-        attack_batch_size=96,
+        defense_params={"profile_rounds": 2, "profile_iterations": 5},
         seed=0,
     )
 
 
 class TestDeploymentWiring:
     def test_profile_found_bits_and_rows(self, deployment):
-        assert deployment.protection.num_secured_bits > 0
-        assert deployment.protection.plan.num_target_rows > 0
+        plan = deployment.defense.defender.plan
+        assert len(plan.secured_bits) > 0
+        assert plan.num_target_rows > 0
 
     def test_dram_holds_model(self, deployment):
         snap = deployment.qmodel.snapshot()
@@ -95,17 +94,17 @@ class TestHammerWithoutDefense:
 
 class TestDefendedFlips:
     def test_secured_bit_is_blocked_through_dram(self, deployment):
-        secured = sorted(deployment.defender.secured_bits)[0]
+        secured = sorted(deployment.defense.defender.secured_bits)[0]
         executor = deployment.hammer_executor()
         before = deployment.qmodel.bit_value(secured)
         assert not executor.execute(secured)
         assert deployment.qmodel.bit_value(secured) == before
         assert executor.blocked == 1
-        assert deployment.defender.stats.swaps_executed > 0
+        assert deployment.defense.defender.stats.swaps_executed > 0
 
     def test_unprotected_bit_still_flips(self, deployment):
         executor = deployment.hammer_executor()
-        secured_rows = set(deployment.protection.plan.target_rows)
+        secured_rows = set(deployment.defense.defender.plan.target_rows)
         # Find a weight bit living in a non-target row.
         candidate = None
         for slot in deployment.layout.slots:
@@ -116,14 +115,14 @@ class TestDefendedFlips:
         assert executor.execute(candidate)
 
     def test_logical_and_dram_paths_agree(self, deployment):
-        secured = sorted(deployment.defender.secured_bits)[0]
+        secured = sorted(deployment.defense.defender.secured_bits)[0]
         unsecured = None
-        secured_rows = set(deployment.protection.plan.target_rows)
+        secured_rows = set(deployment.defense.defender.plan.target_rows)
         for slot in deployment.layout.slots:
             if slot.logical_row not in secured_rows:
                 unsecured = deployment.layout.bits_in_row(slot.logical_row)[3]
                 break
-        logical = deployment.logical_executor()
+        logical = deployment.flip_executor()
         dram = deployment.hammer_executor()
         assert logical.execute(secured) == dram.execute(secured) == False  # noqa: E712
         # Undo logical state drift before comparing the unsecured bit.
@@ -132,7 +131,7 @@ class TestDefendedFlips:
         assert dram.execute(unsecured) is True
 
     def test_multiple_windows_keep_blocking(self, deployment):
-        secured = sorted(deployment.defender.secured_bits)[0]
+        secured = sorted(deployment.defense.defender.secured_bits)[0]
         executor = deployment.hammer_executor()
         for _ in range(3):
             assert not executor.execute(secured)
@@ -142,14 +141,14 @@ class TestDefendedFlips:
 class TestDefenderScheduling:
     def test_non_targets_get_refreshed(self, deployment):
         executor = deployment.hammer_executor()
-        executor.execute(sorted(deployment.defender.secured_bits)[0])
-        assert deployment.defender.stats.non_targets_refreshed > 0
+        executor.execute(sorted(deployment.defense.defender.secured_bits)[0])
+        assert deployment.defense.defender.stats.non_targets_refreshed > 0
 
     def test_latency_metric_positive_once_running(self, deployment):
         executor = deployment.hammer_executor()
-        executor.execute(sorted(deployment.defender.secured_bits)[0])
-        assert deployment.defender.defender_busy_ns > 0
-        assert deployment.defender.latency_per_tref_ms() > 0
+        executor.execute(sorted(deployment.defense.defender.secured_bits)[0])
+        assert deployment.defense.defender.defender_busy_ns > 0
+        assert deployment.defense.defender.latency_per_tref_ms() > 0
 
     def test_overloaded_defender_defers_swaps(self, fresh_model, tiny_dataset):
         # Tiny hammer window: budget of very few swaps per pass.
@@ -186,7 +185,7 @@ class TestAttackScenarios:
         when its targets are the profiled (and therefore secured) bits."""
         rng = np.random.default_rng(0)
         x, y = deployment.dataset.attack_batch(96, rng)
-        executor = deployment.logical_executor()
+        executor = deployment.flip_executor()
         result = semi_white_box_attack(
             deployment.qmodel, x, y, executor,
             config=BfaConfig(max_iterations=5),
@@ -202,8 +201,8 @@ class TestAttackScenarios:
         attacker onto weaker bits."""
         rng = np.random.default_rng(1)
         x, y = deployment.dataset.attack_batch(96, rng)
-        secured = deployment.defender.secured_bits
-        executor = deployment.logical_executor()
+        secured = deployment.defense.defender.secured_bits
+        executor = deployment.flip_executor()
         result = white_box_adaptive_attack(
             deployment.qmodel, x, y, executor, secured,
             config=BfaConfig(max_iterations=6),

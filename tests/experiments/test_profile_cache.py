@@ -120,11 +120,18 @@ class TestTrialContextIntegration:
         assert calls == [2]  # second call served from the shared memo
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_registry_profile_key_is_pinned(self, tmp_path):
+    def test_registry_profile_key_is_pinned(
+        self, tmp_path, fresh_model, quantized_factory, tiny_dataset
+    ):
         """The dnn-defender registry inputs must keep hashing to the key
         recorded before ``BfaConfig`` lost a field, so profile caches
-        filled by earlier checkouts stay warm."""
+        filled by earlier checkouts stay warm.  The builder reaches the
+        same key on a logical context and on a DRAM deployment, so both
+        paths share one profile entry."""
         from repro.attacks.profile import ProfileResult
+        from repro.core import DefendedDeployment
+        from repro.defenses import DefenseContext, build_defense
+        from repro.dram import DramGeometry, TimingParams
         from repro.experiments import TrialContext
 
         keys = []
@@ -145,6 +152,23 @@ class TestTrialContextIntegration:
                 "attack_batch": 96, "seed": 0, "purpose": "defense-registry",
             },
         )
+        build_defense(
+            "dnn-defender",
+            DefenseContext(
+                qmodel=quantized_factory(), dataset=tiny_dataset, seed=0,
+                trial=ctx, preset_name="resnet20_cifar",
+            ),
+        )
+        DefendedDeployment.build(
+            fresh_model, tiny_dataset,
+            geometry=DramGeometry(
+                banks=2, subarrays_per_bank=4, rows_per_subarray=64,
+                row_bytes=128,
+            ),
+            timing=TimingParams(t_rh=1000),
+            trial=ctx, preset_name="resnet20_cifar",
+            defense_params={"profile_rounds": 4},
+        )
         assert keys == [
             "b5336cb1cd4f3c086cb43f72196e11b8e747354683f9b8b258652d7b807cec89"
-        ]
+        ] * 3
