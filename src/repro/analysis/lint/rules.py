@@ -267,7 +267,7 @@ def check_hook_leak(ctx):
 # REP005 — non-atomic writes
 # ---------------------------------------------------------------------- #
 
-_ATOMIC_WRITE_FNS = {"atomic_write_text", "_atomic_write_text"}
+_ATOMIC_WRITE_FNS = {"atomic_write_text"}
 
 
 def _write_mode(node: ast.Call) -> str | None:

@@ -12,7 +12,6 @@ from repro.attacks.executor import (
     FlipExecutor,
     LogicalDefenseExecutor,
     SoftwareFlipExecutor,
-    execute_batch,
 )
 from repro.attacks.hammer import HammerExecutor, RowHammerAttacker, TickingDefense
 from repro.attacks.profile import ProfileResult, profile_vulnerable_bits
@@ -60,7 +59,6 @@ __all__ = [
     "FlipExecutor",
     "LogicalDefenseExecutor",
     "SoftwareFlipExecutor",
-    "execute_batch",
     "HammerExecutor",
     "RowHammerAttacker",
     "TickingDefense",

@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attacks.bfa import AttackResult, BfaConfig, BitFlipAttack
-from repro.attacks.executor import (
-    FlipExecutor,
-    SoftwareFlipExecutor,
-    execute_batch,
-)
+from repro.attacks.executor import FlipExecutor, SoftwareFlipExecutor
 from repro.nn.quant import BitLocation, QuantizedModel
 from repro.nn.train import evaluate
 
@@ -57,17 +53,11 @@ def semi_white_box_attack(
     config: BfaConfig | None = None,
     eval_x: np.ndarray | None = None,
     eval_y: np.ndarray | None = None,
-    batched_replay: bool = False,
 ) -> SemiWhiteBoxResult:
     """Plan a BFA offline, then replay it through the real deployment.
 
-    ``batched_replay=True`` fires the precomputed multi-bit sequence
-    through the executor's batched path
-    (:func:`repro.attacks.executor.execute_batch`): with a DRAM-backed
-    ``HammerExecutor``, target bits sharing a victim row then share one
-    hammer window and one model sync.  The default stays the per-flip
-    replay because the committed defended scenarios measure that
-    interleaving (one defense tick sequence per planned flip).
+    The replay fires one planned flip at a time, so the defense ticks
+    through each flip's hammer windows in plan order.
     """
     eval_x = attack_x if eval_x is None else eval_x
     eval_y = attack_y if eval_y is None else eval_y
@@ -86,15 +76,8 @@ def semi_white_box_attack(
     )
     # Replay against the deployment; the attacker cannot tell which flips
     # landed, it just fires the precomputed sequence.
-    if batched_replay:
-        outcomes = execute_batch(executor, result.planned_sequence)
-    else:
-        outcomes = [
-            executor.execute(location)
-            for location in result.planned_sequence
-        ]
-    for location, landed in zip(result.planned_sequence, outcomes):
-        if landed:
+    for location in result.planned_sequence:
+        if executor.execute(location):
             result.landed.append(location)
         else:
             result.blocked.append(location)

@@ -15,7 +15,6 @@ an executor realises the flip in a deployment:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Protocol
 
 from repro.nn.quant import BitLocation, QuantizedModel
@@ -24,7 +23,6 @@ __all__ = [
     "FlipExecutor",
     "SoftwareFlipExecutor",
     "LogicalDefenseExecutor",
-    "execute_batch",
 ]
 
 
@@ -33,22 +31,6 @@ class FlipExecutor(Protocol):
 
     def execute(self, location: BitLocation) -> bool:
         ...
-
-
-def execute_batch(
-    executor: FlipExecutor, locations: Sequence[BitLocation]
-) -> list[bool]:
-    """Execute many flips, using the executor's batched path when it has one.
-
-    Executors may expose ``execute_many(locations) -> list[bool]`` — the
-    DRAM-backed ``HammerExecutor`` uses it to share hammer windows between
-    target bits on the same victim row.  Executors without a batched path
-    fall back to a per-location ``execute`` loop with identical semantics.
-    """
-    many = getattr(executor, "execute_many", None)
-    if many is not None:
-        return list(many(locations))
-    return [executor.execute(location) for location in locations]
 
 
 class SoftwareFlipExecutor:

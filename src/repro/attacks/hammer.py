@@ -267,19 +267,3 @@ class HammerExecutor:
         else:
             self.blocked += 1
         return succeeded
-
-    def execute_many(self, locations: Sequence[BitLocation]) -> list[bool]:
-        """Batched multi-bit execution through shared hammer windows.
-
-        Unlike a per-``execute`` loop, target bits sharing a victim row
-        share one window and one model sync
-        (:meth:`RowHammerAttacker.attempt_flips`); the defense ticks once
-        per burst rather than once per burst *per bit*.
-        """
-        outcomes = self.attacker.attempt_flips(list(locations))
-        for succeeded in outcomes:
-            if succeeded:
-                self.flips_performed += 1
-            else:
-                self.blocked += 1
-        return outcomes

@@ -10,8 +10,8 @@ Subcommands:
   ``--resume`` replays completed trials from a previous stream.
   ``--backend sharded --shards N`` fans the run out over N CLI worker
   subprocesses through a work-stealing chunk scheduler with a fault
-  policy (``--shard-timeout``, ``--retries``, ``--chunk-size``,
-  ``--retry-backoff``, ``--heartbeat-interval``); ``--transport ssh
+  policy (``--shard-timeout``, ``--retries`` with backoff,
+  ``--chunk-size``, ``--heartbeat-interval``); ``--transport ssh
   --hosts h1,h2:4`` dispatches those workers over ssh instead (with
   per-host quarantine and graceful local fallback), and ``--transport
   chaos`` wraps the local transport in seeded fault injection;
@@ -59,6 +59,7 @@ from repro.experiments.artifacts import (
 from repro.experiments.cache import PresetCache, ProfileCache
 from repro.experiments.registry import get_scenario, iter_scenarios
 from repro.experiments.runner import run_scenario
+from repro.experiments.transport import CHAOS_FAULTS
 from repro.presets import preset_spec
 
 __all__ = ["main", "build_parser"]
@@ -133,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--retries", type=int, default=None, metavar="N",
                          help="--backend sharded: re-dispatch a failed or "
                               "timed-out chunk up to N times, salvaging "
-                              "its completed trials first (default: 1)")
+                              "its completed trials first and backing off "
+                              "0.5s, doubling, at most 30s, with jitter "
+                              "(default: 1)")
     run_cmd.add_argument("--chunk-size", type=int, default=None, metavar="N",
                          help="--backend sharded: trials per work-stealing "
                               "chunk lease (default: pending/(4*shards))")
@@ -159,20 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "their trial streams every SECONDS, making "
                               "--shard-timeout kill on silence instead of "
                               "runtime (orchestrator and --chunk workers)")
-    run_cmd.add_argument("--retry-backoff",
-                         action=argparse.BooleanOptionalAction, default=None,
-                         help="--backend sharded: capped exponential backoff "
-                              "with jitter between chunk retries "
-                              "(default: on; --no-retry-backoff requeues "
-                              "immediately)")
-    run_cmd.add_argument("--backoff-base", type=float, default=None,
-                         metavar="SECONDS",
-                         help="--backend sharded: first retry delay, "
-                              "doubling per attempt (default: 0.5)")
-    run_cmd.add_argument("--backoff-cap", type=float, default=None,
-                         metavar="SECONDS",
-                         help="--backend sharded: upper bound on any retry "
-                              "delay (default: 30)")
     run_cmd.add_argument("--remote-python", default=None, metavar="PATH",
                          help="--transport ssh: interpreter on the remote "
                               "hosts (default: python3)")
@@ -187,9 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "probability in [0,1] (default: 0.35)")
     run_cmd.add_argument("--chaos-modes", default=None, metavar="M1,M2,...",
                          help="--transport chaos: fault modes to draw from "
-                              "(refuse, disconnect, stall-io, "
-                              "truncate-stream, corrupt-stream, slow; "
-                              "default: all)")
+                              f"({', '.join(CHAOS_FAULTS)}; default: all)")
     run_cmd.add_argument("--chaos-hosts", type=int, default=None, metavar="N",
                          help="--transport chaos: rotate launches over N "
                               "virtual hosts with health tracking, so "
@@ -513,9 +500,6 @@ def _reject_scheduler_flags(
         ("--transport", args.transport),
         ("--hosts", args.hosts),
         ("--heartbeat-interval", args.heartbeat_interval),
-        ("--retry-backoff/--no-retry-backoff", args.retry_backoff),
-        ("--backoff-base", args.backoff_base),
-        ("--backoff-cap", args.backoff_cap),
         ("--remote-python", args.remote_python),
         ("--remote-root", args.remote_root),
         ("--chaos-seed", args.chaos_seed),
@@ -590,15 +574,6 @@ def _resolve_backend(args):
             chunk_size=args.chunk_size,
             transport=_resolve_transport(args),
             heartbeat_interval=args.heartbeat_interval,
-            retry_backoff=(
-                True if args.retry_backoff is None else args.retry_backoff
-            ),
-            backoff_base=(
-                0.5 if args.backoff_base is None else args.backoff_base
-            ),
-            backoff_cap=(
-                30.0 if args.backoff_cap is None else args.backoff_cap
-            ),
         )
     return None  # auto: run_scenario picks serial/process from --jobs
 

@@ -9,25 +9,16 @@ __all__ = ["DefenderConfig"]
 
 @dataclass(frozen=True)
 class DefenderConfig:
-    """Knobs of the DNN-Defender mechanism.
+    """The one knob of the DNN-Defender mechanism.
 
     Attributes:
         period_fraction: how often the defender runs relative to the hammer
             window ``T_ACT x T_RH``.  Every target row must be refreshed at
             least once per window (Section 4, Timing Considerations); running
             at half the window leaves slack for scheduling jitter.
-        pipelined: overlap step 1 of swap *n+1* with step 4 of swap *n*
-            (Fig. 6), bringing the steady-state swap cost from ``4 x T_AAP``
-            down to ``3 x T_AAP``.
-        protect_non_targets: execute swap step 4 (opportunistic refresh of a
-            non-target victim row per swap).
-        rng_seed: seed of the defender's random-row selector.
     """
 
     period_fraction: float = 0.5
-    pipelined: bool = True
-    protect_non_targets: bool = True
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.period_fraction <= 1.0:

@@ -56,7 +56,13 @@ class _BankSchedule:
 
 
 class DNNDefender:
-    """The paper's defense mechanism, operating on a live controller."""
+    """The paper's defense mechanism, operating on a live controller.
+
+    Every swap is pipelined (step 1 of swap *n+1* overlaps step 4 of swap
+    *n*, Fig. 6, so a steady-state swap costs ``3 x T_AAP``) and runs step
+    4, the opportunistic refresh of a non-target victim row.  ``seed``
+    seeds the random-row selector of swap step 1.
+    """
 
     def __init__(
         self,
@@ -64,6 +70,7 @@ class DNNDefender:
         plan: ProtectionPlan,
         config: DefenderConfig | None = None,
         reserved_rows: int = 2,
+        seed: int = 0,
     ):
         self.controller = controller
         self.plan = plan
@@ -71,7 +78,7 @@ class DNNDefender:
         self.engine = SwapEngine(
             controller, reserved_rows=reserved_rows, actor="defender"
         )
-        self.rng = np.random.default_rng(self.config.rng_seed)
+        self.rng = np.random.default_rng(seed)
         self.stats = DefenderStats()
         self.period_ns = (
             controller.timing.hammer_window_ns * self.config.period_fraction
@@ -100,9 +107,7 @@ class DNNDefender:
     def bank_budget(self) -> int:
         """Swaps one bank may run per pass (paper's per-window constraint,
         scaled to the scheduling period)."""
-        per_window = max_swaps_per_window(
-            self.controller.timing, pipelined=self.config.pipelined
-        )
+        per_window = max_swaps_per_window(self.controller.timing)
         budget = int(per_window * self.config.period_fraction)
         return max(budget, 1)
 
@@ -166,15 +171,11 @@ class DNNDefender:
         for _ in range(to_run):
             target = schedule.targets[schedule.cursor % n_targets]
             schedule.cursor += 1
-            non_target = None
-            if self.config.protect_non_targets:
-                non_target = self._next_non_target(schedule, target)
             record = self.engine.swap_target(
                 target,
                 rng=self.rng,
-                non_target_logical=non_target,
+                non_target_logical=self._next_non_target(schedule, target),
                 exclude=target_set,
-                pipelined=self.config.pipelined,
             )
             executed += 1
             self.stats.swaps_executed += 1

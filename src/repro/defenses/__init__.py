@@ -2,7 +2,7 @@
 registry-backed ``Defense`` protocol (``@defense``)."""
 
 from repro.defenses import software
-from repro.defenses.base import DefenseStats, HookedDefense, NoDefense
+from repro.defenses.base import DefenseStats, HookedDefense
 from repro.defenses.behavioral import BEHAVIORAL_DEFENSES, BEHAVIORAL_PARAMS
 from repro.defenses.ppim import make_ppim
 from repro.defenses.protocol import (
@@ -43,7 +43,6 @@ __all__ = [
     "software",
     "DefenseStats",
     "HookedDefense",
-    "NoDefense",
     "BEHAVIORAL_DEFENSES",
     "BEHAVIORAL_PARAMS",
     "Defense",

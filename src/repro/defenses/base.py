@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.dram.address import RowAddress
 from repro.dram.controller import MemoryController
 
-__all__ = ["DefenseStats", "HookedDefense", "NoDefense"]
+__all__ = ["DefenseStats", "HookedDefense"]
 
 
 @dataclass
@@ -72,15 +72,6 @@ class DefenseStats:
             "skipped_for_budget": self.skipped_for_budget,
             "notes": {key: self.notes[key] for key in sorted(self.notes)},
         }
-
-
-class NoDefense:
-    """The undefended baseline."""
-
-    name = "none"
-
-    def tick(self) -> None:
-        return None
 
 
 class HookedDefense:

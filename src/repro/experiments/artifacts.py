@@ -49,17 +49,6 @@ def default_bench_dir() -> pathlib.Path:
     return _REPO_ROOT
 
 
-def _atomic_write_text(path: pathlib.Path, text: str) -> None:
-    """Write ``text`` to ``path`` via tmp file + ``os.replace``.
-
-    Kept as a module-level name because callers across the repo import
-    it from here; the implementation lives in
-    :func:`repro.utils.io.atomic_write_text` so ``repro lint`` (REP005)
-    has a single sanctioned write path to recognise.
-    """
-    atomic_write_text(path, text)
-
-
 def write_artifact(
     result: ScenarioResult,
     directory: str | pathlib.Path | None = None,
@@ -74,7 +63,7 @@ def write_artifact(
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{result.scenario}.json"
-    _atomic_write_text(
+    atomic_write_text(
         path, json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
     )
     return path
@@ -91,7 +80,7 @@ def write_bench_artifact(
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"BENCH_{name}.json"
-    _atomic_write_text(
+    atomic_write_text(
         path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     return path

@@ -10,8 +10,8 @@ to a *backend*:
   ``ProcessPoolExecutor`` (fork when available, so dynamically
   registered test scenarios stay visible in workers).
 * :class:`ShardedBackend` — a dynamic chunk-lease scheduler over ``N``
-  CLI worker subprocesses.  Pending trial indices are split into small
-  *chunks* on a work queue; each worker leases the next chunk, runs it
+  CLI worker subprocesses.  Pending trial indices are carved into small
+  *chunks* on demand; each worker leases the next chunk, runs it
   as ``python -m repro run <scenario> --chunk K --trial-indices i,j,…``
   (streaming per-trial JSONL), and steals the next chunk as soon as it
   finishes — so sweep wall-clock is bounded by the total work, not by
@@ -100,7 +100,6 @@ __all__ = [
     "chunk_stream_path",
     "run_shard",
     "run_chunk",
-    "read_shard",
     "read_stream",
     "discover_shards",
     "discover_chunks",
@@ -220,92 +219,61 @@ class ProcessPoolBackend(Backend):
 
 
 # ---------------------------------------------------------------------- #
-# Fault injection (tests and the CI chaos-smoke job)
+# Worker-side fault injection (driven by ChaosTransport)
 # ---------------------------------------------------------------------- #
 
 def _maybe_inject_chaos(
-    directory: pathlib.Path,
     stage: str,
     stream: TrialStream | None = None,
     hb_stop: threading.Event | None = None,
 ) -> None:
-    """Env-triggered worker faults, for exercising the fault policy.
+    """Fire the worker fault :class:`ChaosTransport` asked this launch for.
 
-    ``REPRO_CHAOS`` is a comma-separated list of modes, consulted only
-    by chunk *worker* processes (never by the coordinator):
+    :class:`repro.experiments.transport.ChaosTransport` sets
+    ``REPRO_CHAOS=<mode>`` only on the launch it faults, and only chunk
+    *worker* processes consult it (never the coordinator):
 
-    * ``crash`` — after recording a trial, exit hard (``os._exit``),
-      leaving the stream file behind for salvage.  Fires once per
-      stream directory: the first worker to claim the marker file dies.
-    * ``hang`` — after recording a trial, sleep forever (until the
-      scheduler's ``--shard-timeout`` kills the worker).  Once per
-      directory, like ``crash``.
-    * ``crash-start`` — exit hard before running any trial, on *every*
-      lease; used to exhaust the retry budget deterministically.
+    * ``crash-start`` — exit hard (``os._exit``) before running any trial.
+    * ``crash`` — after recording a trial, exit hard, leaving the stream
+      file behind for salvage.
     * ``stall-io`` — after recording a trial, stop writing (heartbeats
       included) but stay alive: the worker looks healthy to ``poll()``
       yet its stream goes silent, so only a timeout can reclaim its
-      trials.  Once per directory, like ``crash``.
+      trials.
     * ``truncate-stream`` — after recording a trial, append a torn
       (half-written) record to the stream and exit hard: the classic
       interrupted-write signature the torn-tail parser must absorb.
-      Once per directory.
     * ``slow`` — sleep ``REPRO_CHAOS_SLOW_S`` (default 0.75s) after
       every recorded trial, heartbeats still flowing: slow-but-alive,
-      the case heartbeat-aware timeouts must *not* kill.  No marker;
-      applies to every worker.
+      the case heartbeat-aware timeouts must *not* kill.
 
-    ``REPRO_CHAOS_SCOPE=worker`` (set by
-    :class:`repro.experiments.transport.ChaosTransport`, which decides
-    faults per launch) skips the once-per-directory marker claim so the
-    targeted worker always faults.
-
-    ``hang`` and ``stall-io`` set ``hb_stop`` first: a stuck worker's
-    heartbeat thread must stop beating, or the liveness signal would
-    report the hang as mere slowness forever.
+    ``stall-io`` sets ``hb_stop`` first: a stuck worker's heartbeat
+    thread must stop beating, or the liveness signal would report the
+    stall as mere slowness forever.
     """
-    spec = env_str("REPRO_CHAOS", "")
-    if not spec:
-        return
-    per_worker = env_str("REPRO_CHAOS_SCOPE", "") == "worker"
-
-    def claim(mode: str) -> bool:
-        if per_worker:
-            return True
-        marker = pathlib.Path(directory) / f".repro-chaos-{mode}"
-        try:
-            marker.touch(exist_ok=False)  # atomic once-per-dir claim
-        except FileExistsError:
-            return False
-        return True
-
-    for mode in filter(None, (m.strip() for m in spec.split(","))):
-        if mode == "crash-start" and stage == "start":
+    mode = env_str("REPRO_CHAOS", "")
+    if stage == "start":
+        if mode == "crash-start":
             print("chaos: injected worker crash at chunk start",
                   file=sys.stderr, flush=True)
             os._exit(23)
-        if stage != "trial":
-            continue
-        if mode == "slow":
-            time.sleep(env_float("REPRO_CHAOS_SLOW_S", 0.75))
-            continue
-        if mode not in ("crash", "hang", "stall-io", "truncate-stream"):
-            continue
-        if not claim(mode):
-            continue
-        print(f"chaos: injected worker {mode} after a recorded trial",
-              file=sys.stderr, flush=True)
-        if mode == "crash":
-            os._exit(23)
-        if mode == "truncate-stream":
-            if stream is not None:
-                with stream._lock:
-                    stream._fh.write('{"type": "trial", "trial_index"')
-                    stream._fh.flush()
-            os._exit(23)
-        if hb_stop is not None:
-            hb_stop.set()
-        time.sleep(3600)  # hang / stall-io: a timeout kill is the only exit
+        return
+    if mode == "slow":
+        time.sleep(env_float("REPRO_CHAOS_SLOW_S", 0.75))
+        return
+    if mode not in ("crash", "stall-io", "truncate-stream"):
+        return
+    print(f"chaos: injected worker {mode} after a recorded trial",
+          file=sys.stderr, flush=True)
+    if mode == "truncate-stream" and stream is not None:
+        with stream._lock:
+            stream._fh.write('{"type": "trial", "trial_index"')
+            stream._fh.flush()
+    if mode != "stall-io":
+        os._exit(23)
+    if hb_stop is not None:
+        hb_stop.set()
+    time.sleep(3600)  # a timeout kill is the only exit
 
 
 # ---------------------------------------------------------------------- #
@@ -396,13 +364,12 @@ def run_shard(
     index, count = shard
     n_trials = _resolved_trials(name, trials)
     owned = shard_indices(n_trials, index, count)
-    path, _ = _run_stream_worker(
+    return _run_stream_worker(
         name, n_trials, owned, seed, params, directory, cache, profile_cache,
         resume=resume, jobs=jobs, progress=progress,
         stream_path_for=lambda d: shard_stream_path(d, name, index, count),
         extra_header=_shard_header(n_trials, index, count),
     )
-    return path
 
 
 def run_chunk(
@@ -441,7 +408,7 @@ def run_chunk(
         raise ValueError(
             f"chunk trial indices {bad} out of range for {n_trials} trial(s)"
         )
-    path, out_dir = _run_stream_worker(
+    return _run_stream_worker(
         name, n_trials, owned, seed, params, directory, cache, profile_cache,
         resume=resume, jobs=jobs, progress=progress,
         stream_path_for=lambda d: chunk_stream_path(d, name, chunk_id),
@@ -449,7 +416,6 @@ def run_chunk(
         chaos=True,
         heartbeat_interval=heartbeat_interval,
     )
-    return path
 
 
 def _resolved_trials(name: str, trials: int | None) -> int:
@@ -478,7 +444,7 @@ def _run_stream_worker(
     extra_header: dict,
     chaos: bool = False,
     heartbeat_interval: float | None = None,
-) -> tuple[pathlib.Path, pathlib.Path]:
+) -> pathlib.Path:
     """Shared shard/chunk worker: stream ``owned`` trials to JSONL."""
     from repro.experiments.artifacts import default_results_dir
     from repro.experiments.registry import get_scenario
@@ -501,7 +467,7 @@ def _run_stream_worker(
     )
     path = stream_path_for(out_dir)
     if chaos:
-        _maybe_inject_chaos(out_dir, "start")
+        _maybe_inject_chaos("start")
     seeds = [trial_seed(seed, i) for i in range(n_trials)]
     stream = TrialStream(
         path, scenario=name, seed=seed, params=run_params, resume=resume,
@@ -530,8 +496,7 @@ def _run_stream_worker(
         if progress is not None:
             progress(done, len(owned))
         if chaos:
-            _maybe_inject_chaos(out_dir, "trial", stream=stream,
-                                hb_stop=hb_stop)
+            _maybe_inject_chaos("trial", stream=stream, hb_stop=hb_stop)
 
     plan = ExecutionPlan(
         scenario=name, spec=spec, trials=n_trials, seed=seed, seeds=seeds,
@@ -547,7 +512,7 @@ def _run_stream_worker(
             # Beat-in-flight must finish before the stream closes.
             hb_thread.join(timeout=5.0)
         stream.close()
-    return path, out_dir
+    return path
 
 
 # ---------------------------------------------------------------------- #
@@ -603,10 +568,6 @@ def read_stream(path: str | pathlib.Path) -> tuple[dict, dict[int, dict]]:
             f"trial stream {path} is empty (or holds only a torn header)"
         )
     return header, records
-
-
-#: Back-compat alias — shard streams are read exactly like chunk streams.
-read_shard = read_stream
 
 
 def discover_shards(
@@ -763,6 +724,10 @@ def merge_shards(
 #: re-leased almost immediately; high enough to stay invisible in profiles.
 _POLL_INTERVAL_S = 0.05
 _ERROR_TAIL_LINES = 8
+#: Retry backoff: the first retry waits ``_BACKOFF_BASE_S``, each later
+#: one twice the previous, never more than ``_BACKOFF_CAP_S``.
+_BACKOFF_BASE_S = 0.5
+_BACKOFF_CAP_S = 30.0
 #: Backoff jitter fraction: a retry waits ``delay * (1 + U[0, 0.25))`` so
 #: simultaneously-failing chunks fan back out instead of thundering in.
 _BACKOFF_JITTER = 0.25
@@ -789,6 +754,18 @@ class _Lease:
     deadline: float | None
     started: float
     extensions: int = 0
+
+
+def _backoff_delay(chunk_id: int, attempt: int) -> float:
+    """Seconds to wait before re-dispatching ``chunk_id``.
+
+    Capped exponential in the attempt that just failed, with
+    deterministic jitter (seeded by ``(chunk_id, attempt)`` so a re-run
+    of the same failing sweep waits the same delays).
+    """
+    base = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2 ** max(0, attempt - 1)))
+    jitter = random.Random(f"{chunk_id}:{attempt}").random()
+    return base * (1.0 + _BACKOFF_JITTER * jitter)
 
 
 def _last_heartbeat(path: pathlib.Path) -> float | None:
@@ -822,11 +799,11 @@ def _last_heartbeat(path: pathlib.Path) -> float | None:
 class ShardedBackend(Backend):
     """Run a scenario as a work-stealing pool of CLI chunk workers.
 
-    The single-host orchestration of the sharded workflow: pending trial
-    indices are partitioned into chunks on a work queue; up to
+    The single-host orchestration of the sharded workflow: leases
+    (chunks of pending trial indices) are carved on demand; up to
     ``shards`` worker subprocesses (``python -m repro run <scenario>
     --chunk K --trial-indices …``) hold one chunk lease each, and an
-    idle worker slot immediately leases the next queued chunk instead of
+    idle worker slot immediately leases the next chunk instead of
     idling behind a straggler.  Worker stdout/stderr goes to a per-lease
     log file — never a pipe — so a chatty worker can't fill a pipe and
     deadlock the join, and the scheduler's poll loop never blocks on any
@@ -877,6 +854,9 @@ class ShardedBackend(Backend):
             still heartbeating is warned about and granted another
             timeout window instead of being killed.
         retries: Re-dispatch budget per chunk after its first failure.
+            Every retry waits out a capped exponential backoff (0.5s,
+            doubling, at most 30s) with deterministic jitter; the
+            schedule is reported when the budget is exhausted.
         chunk_size: Trials per chunk lease; ``None`` auto-sizes to
             ``ceil(pending / (4 * shards))`` so each worker sees ~4
             leases and stealing has room to balance stragglers — and
@@ -884,23 +864,18 @@ class ShardedBackend(Backend):
             later leases toward ~5s each (never above a worker's fair
             share of the remainder), so cheap trials coalesce and
             expensive ones spread out.  An explicit size disables
-            adaptation.
+            adaptation.  Either way leases are carved on demand from
+            the ordered pending pool.
         transport: Where chunk workers execute; ``None`` builds a
-            :class:`LocalSubprocessTransport` over ``python``.
+            :class:`LocalSubprocessTransport` over ``python``.  When the
+            transport reports no healthy host left (every ssh/chaos host
+            quarantined), the sweep degrades to local subprocess
+            execution instead of failing.
         heartbeat_interval: Ask workers to interleave heartbeat records
             into their streams every this-many seconds, and make the
             lease timeout heartbeat-aware.  ``None`` (default) preserves
             the historical behaviour: no heartbeats, timeout kills
             unconditionally.
-        retry_backoff: Delay chunk retries by capped exponential backoff
-            with deterministic jitter instead of requeueing immediately
-            (default on; the backoff schedule is reported when the retry
-            budget is exhausted).
-        backoff_base: First retry delay in seconds (doubles per attempt).
-        backoff_cap: Upper bound on any single retry delay.
-        fallback_local: When the transport reports no healthy host left
-            (every ssh/chaos host quarantined), degrade gracefully to
-            local subprocess execution instead of failing the sweep.
     """
 
     name = "sharded"
@@ -917,10 +892,6 @@ class ShardedBackend(Backend):
         chunk_size: int | None = None,
         transport: Transport | None = None,
         heartbeat_interval: float | None = None,
-        retry_backoff: bool = True,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
-        fallback_local: bool = True,
     ):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -935,12 +906,6 @@ class ShardedBackend(Backend):
                 "heartbeat interval must be > 0 seconds, "
                 f"got {heartbeat_interval}"
             )
-        if backoff_base <= 0:
-            raise ValueError(f"backoff base must be > 0, got {backoff_base}")
-        if backoff_cap < backoff_base:
-            raise ValueError(
-                f"backoff cap ({backoff_cap}) must be >= base ({backoff_base})"
-            )
         self.shards = shards
         self.python = python or sys.executable
         self.workdir = pathlib.Path(workdir) if workdir is not None else None
@@ -951,10 +916,6 @@ class ShardedBackend(Backend):
         self.chunk_size = chunk_size
         self.transport = transport
         self.heartbeat_interval = heartbeat_interval
-        self.retry_backoff = retry_backoff
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.fallback_local = fallback_local
         self._ewma_trial_s: float | None = None
 
     # ------------------------------------------------------------------ #
@@ -974,16 +935,6 @@ class ShardedBackend(Backend):
         extras["REPRO_CACHE_DIR"] = str(plan.cache.root)
         extras["REPRO_PROFILE_DIR"] = str(plan.profile_cache.root)
         return extras
-
-    def _partition(self, pending: list[int], first_id: int) -> list[tuple[int, list[int]]]:
-        """Split pending indices into (chunk_id, indices) leases."""
-        size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(pending) / (4 * self.shards)))
-        return [
-            (first_id + k, pending[offset:offset + size])
-            for k, offset in enumerate(range(0, len(pending), size))
-        ]
 
     def _launch(
         self,
@@ -1010,31 +961,19 @@ class ShardedBackend(Backend):
             started=now,
         )
 
-    def _backoff_delay(self, chunk_id: int, attempt: int) -> float:
-        """Seconds to wait before re-dispatching ``chunk_id``.
-
-        Capped exponential in the attempt that just failed, with
-        deterministic jitter (seeded by ``(chunk_id, attempt)`` so a
-        re-run of the same failing sweep waits the same delays).
-        """
-        if not self.retry_backoff:
-            return 0.0
-        base = min(
-            self.backoff_cap,
-            self.backoff_base * (2 ** max(0, attempt - 1)),
-        )
-        jitter = random.Random(f"{chunk_id}:{attempt}").random()
-        return base * (1.0 + _BACKOFF_JITTER * jitter)
-
     def _next_chunk_size(self, remaining: int, initial: int) -> int:
-        """Adaptive lease size from the per-trial latency EWMA.
+        """Size of the next lease carved from the pending pool.
 
-        Until a latency observation exists, stick with the initial
-        ~4-leases-per-worker size.  After that, aim each lease at
-        roughly ``_TARGET_LEASE_S`` of work (half the lease timeout if
-        that is tighter), clamped to a worker's fair share of what is
-        left so the last leases cannot concentrate in one worker.
+        An explicit ``chunk_size`` is used as is.  Otherwise the size
+        adapts to the per-trial latency EWMA: until a latency
+        observation exists, stick with the initial ~4-leases-per-worker
+        size; after that, aim each lease at roughly ``_TARGET_LEASE_S``
+        of work (half the lease timeout if that is tighter), clamped to
+        a worker's fair share of what is left so the last leases cannot
+        concentrate in one worker.
         """
+        if self.chunk_size is not None:
+            return self.chunk_size
         if self._ewma_trial_s is None or self._ewma_trial_s <= 0:
             return min(initial, max(1, remaining))
         target_s = _TARGET_LEASE_S
@@ -1222,9 +1161,7 @@ class ShardedBackend(Backend):
             first_id = max(existing, default=-1) + 1
         else:
             # A fresh run in a persistent workdir must not inherit chunk
-            # streams (or logs) from an earlier run of the same
-            # scenario, nor spent chaos markers that would silently
-            # disarm a requested fault injection.
+            # streams (or logs) from an earlier run of the same scenario.
             for stale in discover_chunks(directory, plan.scenario):
                 stale.unlink()
             for stale in directory.glob(f"{plan.scenario}.chunk-*.log"):
@@ -1232,8 +1169,6 @@ class ShardedBackend(Backend):
             for stale in directory.glob(
                 f"{plan.scenario}.chunk-*.trials.jsonl.corrupt-*"
             ):
-                stale.unlink()
-            for stale in directory.glob(".repro-chaos-*"):
                 stale.unlink()
         try:
             self._schedule(plan, pending, directory, first_id)
@@ -1264,18 +1199,11 @@ class ShardedBackend(Backend):
             python=self.python
         )
         transports = [transport]  # every venue used, for final close()
-        ordered = self._order_pending(plan, sorted(pending))
-        queue: collections.deque[tuple[int, list[int]]] = collections.deque()
-        pool: collections.deque[int] = collections.deque()
-        adaptive = self.chunk_size is None
-        if adaptive:
-            # Carve leases on demand so the size can adapt mid-run.
-            pool.extend(ordered)
-            initial_chunk = max(1, math.ceil(len(ordered) / (4 * self.shards)))
-        else:
-            queue.extend(self._partition(ordered, first_id))
-            initial_chunk = 0
-        next_id = first_id + len(queue)
+        # Leases are carved on demand, so an adaptive size can change
+        # mid-run; chunk ids count up from ``first_id`` in carve order.
+        pool = collections.deque(self._order_pending(plan, sorted(pending)))
+        initial_chunk = max(1, math.ceil(len(pool) / (4 * self.shards)))
+        next_id = first_id
         #: Chunks whose retry is scheduled for the future: a min-heap of
         #: ``(ready_at, chunk_id, indices)`` — backoff without blocking
         #: the poll loop or the other workers.
@@ -1284,7 +1212,7 @@ class ShardedBackend(Backend):
         refusals: dict[int, int] = collections.defaultdict(int)
         failures: dict[int, list[str]] = {}
         backoffs: dict[int, list[float]] = {}
-        fatal: list[str] = []
+        exhausted = False  # some chunk ran out of retries
         running: list[_Lease] = []
         degraded = False
 
@@ -1293,8 +1221,6 @@ class ShardedBackend(Backend):
             if retry_heap and retry_heap[0][0] <= time.monotonic():
                 _, chunk_id, indices = heapq.heappop(retry_heap)
                 return chunk_id, indices
-            if queue:
-                return queue.popleft()
             if pool:
                 size = self._next_chunk_size(len(pool), initial_chunk)
                 indices = [pool.popleft() for _ in range(min(size, len(pool)))]
@@ -1304,14 +1230,14 @@ class ShardedBackend(Backend):
             return None
 
         def requeue(chunk_id: int, indices: list[int], attempt: int) -> None:
-            delay = self._backoff_delay(chunk_id, attempt)
-            if delay:  # --no-retry-backoff leaves no schedule to report
-                backoffs.setdefault(chunk_id, []).append(delay)
+            delay = _backoff_delay(chunk_id, attempt)
+            backoffs.setdefault(chunk_id, []).append(delay)
             heapq.heappush(
                 retry_heap, (time.monotonic() + delay, chunk_id, indices)
             )
 
         def finish(lease: _Lease, code: int | None, timed_out: bool) -> None:
+            nonlocal exhausted
             # Salvage first: whatever the worker streamed before dying is
             # recorded, and only the remainder retries.
             lease.handle.sync()
@@ -1356,7 +1282,7 @@ class ShardedBackend(Backend):
             )
             failures.setdefault(lease.chunk_id, []).append(detail)
             if attempts[lease.chunk_id] > self.retries:
-                fatal.append(detail)
+                exhausted = True
             else:
                 # Requeue the chunk under its original manifest: the
                 # retried lease resumes its stream file (unless it was
@@ -1365,27 +1291,17 @@ class ShardedBackend(Backend):
                 requeue(lease.chunk_id, lease.indices, lease.attempt)
 
         try:
-            while queue or pool or retry_heap or running:
+            while pool or retry_heap or running:
                 if not degraded and not transport.available():
-                    if not self.fallback_local:
-                        fatal.append(
-                            f"transport {transport.describe()} has no "
-                            "healthy host left and local fallback is "
-                            "disabled"
-                        )
-                    else:
-                        warnings.warn(
-                            f"transport {transport.describe()} has no "
-                            "healthy host left; degrading to local "
-                            "subprocess execution",
-                            RuntimeWarning,
-                        )
-                        transport = LocalSubprocessTransport(
-                            python=self.python
-                        )
-                        transports.append(transport)
+                    warnings.warn(
+                        f"transport {transport.describe()} has no healthy "
+                        "host left; degrading to local subprocess execution",
+                        RuntimeWarning,
+                    )
+                    transport = LocalSubprocessTransport(python=self.python)
+                    transports.append(transport)
                     degraded = True
-                while not fatal and len(running) < self.shards:
+                while not exhausted and len(running) < self.shards:
                     item = next_lease()
                     if item is None:
                         break
@@ -1413,7 +1329,7 @@ class ShardedBackend(Backend):
                             )
                             failures.setdefault(chunk_id, []).append(detail)
                             if attempts[chunk_id] > self.retries:
-                                fatal.append(detail)
+                                exhausted = True
                                 break
                         requeue(
                             chunk_id, indices, max(1, refusals[chunk_id])
@@ -1449,7 +1365,7 @@ class ShardedBackend(Backend):
                         lease.handle.wait()
                     finish(lease, code, timed_out)
                 running = still_running
-                if fatal:
+                if exhausted:
                     # Kill the survivors promptly, but harvest their
                     # streams so every completed trial is recorded before
                     # the raise (--resume then re-runs only the rest).
@@ -1473,21 +1389,16 @@ class ShardedBackend(Backend):
             for venue in transports:
                 with contextlib.suppress(Exception):
                     venue.close()
-        if fatal:
+        if exhausted:
             history = [
                 entry
                 for chunk_id in sorted(failures)
                 for entry in failures[chunk_id]
             ]
-            # Fatal causes with no per-chunk record (e.g. every host
-            # quarantined with local fallback disabled) still belong in
-            # the operator-facing message.
-            history += [entry for entry in fatal if entry not in history]
             schedule = [
                 f"chunk {chunk_id} backoff schedule: "
                 + ", ".join(f"{delay:.2f}s" for delay in backoffs[chunk_id])
                 for chunk_id in sorted(backoffs)
-                if backoffs[chunk_id]
             ]
             raise RuntimeError(
                 "sharded execution failed: retry budget exhausted "

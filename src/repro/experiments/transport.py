@@ -14,13 +14,15 @@ its per-trial JSONL stream gets back to the coordinator:
   the chunk stream pulled back via ``scp``.  Per-host health is tracked:
   a host that keeps failing is quarantined, and when every host is
   quarantined the scheduler degrades gracefully to local execution.
-* :class:`ChaosTransport` — a wrapper that injects transport faults
-  (connection refused, mid-stream disconnect, stalled I/O, corrupted or
-  truncated stream bytes, slow-but-alive workers) deterministically from
-  a seed.  Tests and the ``remote-chaos-smoke`` CI job run real sweeps
-  through it and assert the merged artifact is byte-identical to a
-  serial run — the scheduler's exactly-once guarantee must hold under
-  every injected fault.
+* :class:`ChaosTransport` — a wrapper that injects every worker fault
+  the scheduler must survive (connection refused, mid-stream
+  disconnect, stalled I/O, corrupted or truncated stream bytes,
+  slow-but-alive workers, crashes) deterministically from a seed or an
+  explicit plan.  Tests and the ``chaos-smoke`` and
+  ``remote-chaos-smoke`` CI jobs run real sweeps through it and assert
+  the merged artifact is byte-identical to a serial run — the
+  scheduler's exactly-once guarantee must hold under every injected
+  fault.
 
 The contract every transport must honour: the worker appends complete
 JSONL lines to its chunk stream, and the coordinator only ever records a
@@ -582,6 +584,8 @@ class _SSHWorkerHandle(_SubprocessWorkerHandle):
 #: * ``truncate-stream``   — worker dies leaving a torn final record.
 #: * ``corrupt-stream``    — stream bytes corrupted in transit (mid-file).
 #: * ``slow``              — worker sleeps between trials but heartbeats.
+#: * ``crash-start``       — worker exits hard before running any trial.
+#: * ``crash``             — worker exits hard after a recorded trial.
 CHAOS_FAULTS = (
     "refuse",
     "disconnect",
@@ -589,11 +593,15 @@ CHAOS_FAULTS = (
     "truncate-stream",
     "corrupt-stream",
     "slow",
+    "crash-start",
+    "crash",
 )
 
-#: Fault modes implemented by injecting ``REPRO_CHAOS`` into the worker
-#: (scope ``worker``: fires every launch, no once-per-dir marker).
-_WORKER_SIDE_FAULTS = ("stall-io", "truncate-stream", "slow")
+#: Fault modes the worker fires itself: the transport sets
+#: ``REPRO_CHAOS=<mode>`` on the faulted launch only (see
+#: :func:`repro.experiments.backends._maybe_inject_chaos`).
+_WORKER_SIDE_FAULTS = ("stall-io", "truncate-stream", "slow", "crash-start",
+                       "crash")
 
 
 class ChaosTransport(Transport):
@@ -628,7 +636,10 @@ class ChaosTransport(Transport):
         max_faults_per_chunk: int = 2,
         slow_s: float = 0.75,
     ):
-        unknown = [m for m in modes if m not in CHAOS_FAULTS]
+        plan = dict(plan or {})
+        unknown = [
+            m for m in (*modes, *plan.values()) if m not in CHAOS_FAULTS
+        ]
         if unknown:
             raise ValueError(
                 f"unknown chaos mode(s) {unknown}; pick from {CHAOS_FAULTS}"
@@ -641,7 +652,7 @@ class ChaosTransport(Transport):
         self.seed = seed
         self.rate = rate
         self.modes = tuple(modes)
-        self.plan = dict(plan or {})
+        self.plan = plan
         self.health = (
             HostHealth(list(hosts), quarantine_after) if hosts else None
         )
@@ -717,7 +728,6 @@ class ChaosTransport(Transport):
         if mode in _WORKER_SIDE_FAULTS:
             env = dict(spec.env)
             env["REPRO_CHAOS"] = mode
-            env["REPRO_CHAOS_SCOPE"] = "worker"
             if mode == "slow":
                 env["REPRO_CHAOS_SLOW_S"] = f"{self.slow_s:g}"
             spec = replace(spec, env=env)

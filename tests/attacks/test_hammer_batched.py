@@ -1,7 +1,7 @@
 """Batched multi-bit hammer windows and hammer-window accounting fixes.
 
 Covers the row-grouped ``attempt_flips`` path (one shared window and one
-model sync per victim row), the executor batching protocol, and the
+model sync per victim row), ``HammerExecutor``'s per-flip counts, and the
 tiny-``T_RH`` burst-accounting regression (zero-activation bursts must
 not tick the defense or charge commands).
 """
@@ -9,8 +9,6 @@ not tick the defense or charge commands).
 import numpy as np
 import pytest
 
-from repro.attacks import execute_batch
-from repro.attacks.executor import LogicalDefenseExecutor, SoftwareFlipExecutor
 from repro.attacks.hammer import HammerExecutor, RowHammerAttacker
 from repro.dram import DramDevice, DramGeometry, MemoryController, TimingParams
 from repro.dram.commands import Command
@@ -176,63 +174,17 @@ class TestTinyTrhAccounting:
         assert attacker.activations_issued == 1
 
 
-class TestExecutorBatching:
-    def test_hammer_executor_execute_many_counts(self, fresh_quantized):
+class TestHammerExecutor:
+    def test_execute_counts_each_flip(self, fresh_quantized):
+        """Flips replayed one ``execute`` call at a time, one per victim
+        row, all land in the model, and the executor counts each one."""
         controller, layout = _deployment(fresh_quantized)
         executor = HammerExecutor(RowHammerAttacker(controller, layout))
-        targets = _multi_row_targets(layout, rows=2)
-        outcomes = executor.execute_many(targets)
+        targets = _multi_row_targets(layout, rows=4, bits_per_row=1)
+        before = [fresh_quantized.bit_value(t) for t in targets]
+        outcomes = [executor.execute(target) for target in targets]
         assert outcomes == [True] * len(targets)
         assert executor.flips_performed == len(targets)
         assert executor.blocked == 0
-
-    def test_execute_batch_prefers_execute_many(self, fresh_quantized):
-        calls = []
-
-        class Recorder:
-            def execute(self, location):
-                raise AssertionError("batched path must be used")
-
-            def execute_many(self, locations):
-                calls.append(list(locations))
-                return [True] * len(locations)
-
-        locations = [BitLocation(0, 0, 0), BitLocation(0, 0, 1)]
-        assert execute_batch(Recorder(), locations) == [True, True]
-        assert calls == [locations]
-
-    def test_execute_batch_falls_back_to_loop(self, fresh_quantized):
-        class PlainExecutor:
-            def __init__(self):
-                self.calls = 0
-
-            def execute(self, location):
-                self.calls += 1
-                return self.calls % 2 == 1
-
-        executor = PlainExecutor()
-        locations = [BitLocation(0, 0, bit) for bit in range(3)]
-        assert execute_batch(executor, locations) == [True, False, True]
-        assert executor.calls == 3
-
-    def test_software_and_logical_batch_via_fallback_loop(
-        self, quantized_factory
-    ):
-        """Executors without a batched path keep loop semantics through
-        execute_batch's fallback."""
-        locations = [BitLocation(0, 0, bit) for bit in range(4)]
-        qm_loop = quantized_factory()
-        loop_exec = SoftwareFlipExecutor(qm_loop)
-        loop = [loop_exec.execute(loc) for loc in locations]
-        qm_many = quantized_factory()
-        many_exec = SoftwareFlipExecutor(qm_many)
-        many = execute_batch(many_exec, locations)
-        assert loop == many
-        assert qm_loop.layers[0].weight_int.tobytes() == \
-            qm_many.layers[0].weight_int.tobytes()
-
-        secured = {locations[1]}
-        qm_l = quantized_factory()
-        logical = LogicalDefenseExecutor(qm_l, secured)
-        assert execute_batch(logical, locations) == [True, False, True, True]
-        assert logical.blocked == 1
+        after = [fresh_quantized.bit_value(t) for t in targets]
+        assert after == [1 - bit for bit in before]

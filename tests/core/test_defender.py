@@ -172,6 +172,36 @@ class TestDefenderScheduling:
         assert defender.stats.deferred_swaps > 0
         assert defender.stats.swaps_executed <= budget * GEOMETRY.banks
 
+    def test_every_swap_is_pipelined_and_runs_step_four(self, fresh_model):
+        """Swaps overlap the previous swap's step 4 (Fig. 6), so the bank
+        budget is priced at the pipelined swap cost, and every swap
+        refreshes a non-target row."""
+        from repro.core.pipeline import max_swaps_per_window
+        from repro.mapping import WeightLayout
+        from repro.nn import QuantizedModel
+
+        qmodel = QuantizedModel(fresh_model)
+        controller = MemoryController(DramDevice(GEOMETRY), TIMING)
+        layout = WeightLayout(qmodel, controller, seed=0)
+        rows = [r for r in layout.weight_rows() if r.bank == 0][:6]
+        bits = {layout.bits_in_row(row)[0] for row in rows}
+        defender = DNNDefender(controller, build_protection_plan(layout, bits))
+        budget = defender.bank_budget()
+        assert budget == int(max_swaps_per_window(TIMING) * 0.5)
+        assert budget > int(max_swaps_per_window(TIMING, pipelined=False) * 0.5)
+        assert defender.run_window() == len(rows)
+        assert defender.stats.non_targets_refreshed == len(rows)
+        subarrays = {row.subarray for row in rows}
+        assert len(subarrays) < len(rows)  # some sub-array swaps twice
+        for subarray in subarrays:
+            records = defender.engine.records_for(0, subarray)
+            assert records
+            assert all(r.non_target_refreshed is not None for r in records)
+            # Only a sub-array's first swap pays for its own step 1.
+            assert [r.reused_reserved for r in records] == (
+                [False] + [True] * (len(records) - 1)
+            )
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DefenderConfig(period_fraction=0.0)

@@ -29,7 +29,6 @@ from repro.experiments.backends import (
     discover_chunks,
     discover_shards,
     discover_streams,
-    read_shard,
     read_stream,
     shard_stream_path,
 )
@@ -86,7 +85,7 @@ class TestRunShardAndMerge:
     def test_shard_stream_header_and_records(self, tmp_path):
         path = self._run_all_shards(tmp_path)[0]
         assert path == shard_stream_path(tmp_path, "backend-toy", 0, 2)
-        header, records = read_shard(path)
+        header, records = read_stream(path)
         assert header["scenario"] == "backend-toy"
         assert header["seed"] == 9
         assert header["trials"] == 4

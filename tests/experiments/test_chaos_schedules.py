@@ -2,9 +2,9 @@
 
 Each test runs a *real* sharded sweep through :class:`ChaosTransport`
 with a seeded random fault schedule (connection refusals, mid-stream
-disconnects, stalled I/O, truncated/corrupted streams, slow workers) and
-asserts the two invariants the scheduler promises no matter what the
-transport does:
+disconnects, stalled I/O, truncated/corrupted streams, slow workers,
+crashes) and asserts the two invariants the scheduler promises no
+matter what the transport does:
 
 * every trial is recorded exactly once (counted in the coordinator
   stream), and
@@ -27,8 +27,17 @@ from repro.experiments import (
     run_scenario,
     write_artifact,
 )
+from repro.experiments import backends
+from repro.experiments.transport import CHAOS_FAULTS
 
 SCENARIO = "fig6"
+
+
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    """Retries wait 0.05s, doubling, at most 0.5s (plus jitter)."""
+    monkeypatch.setattr(backends, "_BACKOFF_BASE_S", 0.05)
+    monkeypatch.setattr(backends, "_BACKOFF_CAP_S", 0.5)
 
 
 def _serial(trials, seed=3):
@@ -50,8 +59,7 @@ def _stream_counts(path) -> Counter:
 def _chaos_backend(tmp_path, transport, **overrides):
     kwargs = dict(
         workdir=tmp_path / "work", transport=transport,
-        chunk_size=2, retries=4, timeout=6,
-        heartbeat_interval=0.2, backoff_base=0.05, backoff_cap=0.5,
+        chunk_size=2, retries=4, timeout=4, heartbeat_interval=0.2,
     )
     kwargs.update(overrides)
     return ShardedBackend(2, **kwargs)
@@ -103,24 +111,31 @@ class TestSeededFaultSchedules:
         assert first, "seed 5 injected nothing at rate=0.9"
 
     def test_scripted_worst_case_one_of_each_fault(self, tmp_path):
-        """A scripted plan hits every fault mode once across the sweep."""
+        """A scripted plan hits every fault mode once across the sweep:
+        the four chunks' first attempts, then their second attempts."""
         trials = 8
         serial = _serial(trials)
         plan = {
-            (0, 1): "refuse",
-            (1, 1): "disconnect",
-            (2, 1): "stall-io",
-            (3, 1): "truncate-stream",
-            (0, 2): "corrupt-stream",
-            (1, 2): "slow",
+            (i % 4, 1 + i // 4): mode for i, mode in enumerate(CHAOS_FAULTS)
         }
         transport = ChaosTransport(seed=0, rate=0.0, plan=plan, slow_s=0.2)
         result = run_scenario(
             SCENARIO, trials=trials, seed=3,
-            backend=_chaos_backend(tmp_path, transport, timeout=4),
+            backend=_chaos_backend(tmp_path, transport),
         )
         fired = {(c, a, m) for c, a, m in transport.injected}
         assert {(c, a, plan[(c, a)]) for (c, a) in plan} <= fired
+        assert {m for _, _, m in fired} == set(CHAOS_FAULTS)
+        # The worker-side faults really fired inside their chunk workers.
+        logs = "".join(
+            p.read_text() for p in (tmp_path / "work").glob("*.log")
+        )
+        for fault in (
+            "crash at chunk start", "crash after a recorded trial",
+            "stall-io after a recorded trial",
+            "truncate-stream after a recorded trial",
+        ):
+            assert f"chaos: injected worker {fault}" in logs
         a = write_artifact(serial, directory=tmp_path / "a").read_bytes()
         b = write_artifact(result, directory=tmp_path / "b").read_bytes()
         assert a == b

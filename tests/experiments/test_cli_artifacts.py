@@ -74,14 +74,14 @@ class TestAtomicArtifacts:
     def test_concurrent_writers_never_expose_partial_json(self, tmp_path):
         import threading
 
-        from repro.experiments.artifacts import _atomic_write_text
+        from repro.utils.io import atomic_write_text
 
         path = tmp_path / "artifact.json"
         payloads = [
             json.dumps({"writer": w, "blob": "x" * 20000}) + "\n"
             for w in range(4)
         ]
-        _atomic_write_text(path, payloads[0])
+        atomic_write_text(path, payloads[0])
         stop = threading.Event()
         bad: list[str] = []
 
@@ -94,7 +94,7 @@ class TestAtomicArtifacts:
 
         def writer(payload: str):
             for _ in range(40):
-                _atomic_write_text(path, payload)
+                atomic_write_text(path, payload)
 
         threads = [threading.Thread(target=reader)] + [
             threading.Thread(target=writer, args=(p,)) for p in payloads

@@ -28,6 +28,8 @@ from repro.experiments.transport import (
     HostHealth,
     HostSpec,
     LocalSubprocessTransport,
+    Transport,
+    WorkerHandle,
     WorkerSpec,
     build_transport,
     chunk_worker_command,
@@ -171,8 +173,58 @@ class TestChaosSchedule:
     def test_rejects_unknown_modes_and_bad_rate(self):
         with pytest.raises(ValueError, match="unknown chaos mode"):
             ChaosTransport(modes=("refuse", "gremlins"))
+        with pytest.raises(ValueError, match="unknown chaos mode"):
+            ChaosTransport(plan={(0, 1): "gremlins"})
         with pytest.raises(ValueError, match="rate"):
             ChaosTransport(rate=1.5)
+
+    def test_worker_faults_set_repro_chaos_on_the_faulted_launch_only(self):
+        launched = []
+
+        class Recorder(Transport):
+            def start(self, spec):
+                launched.append(dict(spec.env))
+                return WorkerHandle(spec, "local", None, None)
+
+        transport = ChaosTransport(
+            inner=Recorder(), rate=0.0, plan={(0, 1): "crash"},
+        )
+        for attempt in (1, 2):
+            transport.start(WorkerSpec(
+                scenario="fig6", chunk_id=0, indices=[0], trials=1, seed=3,
+                params={}, workdir=None, attempt=attempt,
+                env={"REPRO_CACHE_DIR": "c"},
+            ))
+        assert launched == [
+            {"REPRO_CACHE_DIR": "c", "REPRO_CHAOS": "crash"},
+            {"REPRO_CACHE_DIR": "c"},
+        ]
+        assert transport.injected == [(0, 1, "crash")]
+
+    def test_transport_side_faults_leave_the_worker_env_alone(self):
+        launched = []
+
+        class Recorder(Transport):
+            def start(self, spec):
+                launched.append(dict(spec.env))
+                return WorkerHandle(spec, "local", None, None)
+
+        transport = ChaosTransport(
+            inner=Recorder(), rate=0.0, slow_s=1.5, plan={
+                (0, 1): "disconnect", (1, 1): "corrupt-stream", (2, 1): "slow",
+            },
+        )
+        for chunk_id in range(3):
+            transport.start(WorkerSpec(
+                scenario="fig6", chunk_id=chunk_id, indices=[0], trials=1,
+                seed=3, params={}, workdir=None, attempt=1, env={},
+            ))
+        assert launched == [
+            {}, {}, {"REPRO_CHAOS": "slow", "REPRO_CHAOS_SLOW_S": "1.5"},
+        ]
+        assert transport.injected == [
+            (0, 1, "disconnect"), (1, 1, "corrupt-stream"), (2, 1, "slow"),
+        ]
 
     def test_refusal_raises_transport_error_and_burns_virtual_host(self):
         transport = ChaosTransport(
@@ -311,19 +363,3 @@ class TestSSHLoopback:
         assert any("degrading to local" in m for m in messages)
         assert not transport.available()
         assert result.to_json() == serial.to_json()
-
-    def test_degradation_can_be_disabled(self, tmp_path):
-        dead = _write_shim(tmp_path / "dead-ssh", "exit 255\n")
-        transport = SSHTransport(
-            "ghost", ssh_command=(dead,), ssh_options=(),
-            quarantine_after=1,
-        )
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(RuntimeError, match="local fallback"):
-                run_scenario(
-                    SCENARIO, trials=2, seed=3,
-                    backend=ShardedBackend(
-                        1, workdir=tmp_path / "work", transport=transport,
-                        chunk_size=2, retries=2, fallback_local=False,
-                    ),
-                )
