@@ -49,8 +49,8 @@ def main() -> None:
         eval_x=preset.dataset.x_test, eval_y=preset.dataset.y_test,
     )
     stats = defender.stats
-    print(f"planned flips:    {len(result.planned_sequence)}")
-    print(f"landed / blocked: {len(result.landed)} / {len(result.blocked)}")
+    print(f"planned flips:    {result.attempts}")
+    print(f"landed / blocked: {result.num_flips} / {result.blocked}")
     print(f"accuracy:         {result.initial_accuracy:.2%} -> "
           f"{result.final_accuracy:.2%}")
     print(f"defender swaps:   {stats.swaps_executed} "

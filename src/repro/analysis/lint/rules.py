@@ -336,12 +336,9 @@ def check_non_atomic_write(ctx):
     summary="reassociating contraction (einsum optimize=/tensordot) or "
             "sum() over an unordered set in numeric code",
     hint="keep the reference contraction order (plain einsum / explicit "
-         "loops) outside the opt-in fast-math tier, and sorted() any set "
-         "before reducing over it",
+         "loops), and sorted() any set before reducing over it",
     rationale="PR 5 kept einsum over the faster tensordot/optimize=True "
-              "precisely to preserve byte-identical gradients; the "
-              "fast-math tier (ROADMAP) is the sanctioned opt-out",
-    exempt=("nn/fast_math.py",),
+              "precisely to preserve byte-identical gradients",
 )
 def check_float_order_hazard(ctx):
     for node in ctx.walk(ast.Call):

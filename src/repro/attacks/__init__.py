@@ -2,7 +2,6 @@
 the registry-backed ``Attacker`` protocol (``@attacker``)."""
 
 from repro.attacks.adaptive import (
-    SemiWhiteBoxResult,
     semi_white_box_attack,
     white_box_adaptive_attack,
 )
@@ -31,7 +30,6 @@ from repro.attacks.registry import (
     register_attacker,
     unregister_attacker,
 )
-from repro.attacks.smart_bfa import SmartBfaAttacker
 from repro.attacks.tbfa import TargetedBitFlipAttack, TbfaConfig, TbfaResult
 from repro.attacks.threat import SEMI_WHITE_BOX, WHITE_BOX, ThreatModel
 
@@ -47,8 +45,6 @@ __all__ = [
     "iter_attackers",
     "register_attacker",
     "unregister_attacker",
-    "SmartBfaAttacker",
-    "SemiWhiteBoxResult",
     "semi_white_box_attack",
     "white_box_adaptive_attack",
     "AttackResult",

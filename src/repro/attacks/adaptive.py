@@ -14,35 +14,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.attacks.bfa import AttackResult, BfaConfig, BitFlipAttack
 from repro.attacks.executor import FlipExecutor, SoftwareFlipExecutor
+from repro.attacks.protocol import AttackOutcome, replay
 from repro.nn.quant import BitLocation, QuantizedModel
-from repro.nn.train import evaluate
 
-__all__ = [
-    "SemiWhiteBoxResult",
-    "semi_white_box_attack",
-    "white_box_adaptive_attack",
-]
-
-
-@dataclass
-class SemiWhiteBoxResult:
-    """Replay outcome of a defense-unaware attack."""
-
-    planned_sequence: list[BitLocation] = field(default_factory=list)
-    landed: list[BitLocation] = field(default_factory=list)
-    blocked: list[BitLocation] = field(default_factory=list)
-    initial_accuracy: float = 0.0
-    final_accuracy: float = 0.0
-
-    @property
-    def accuracy_drop(self) -> float:
-        return self.initial_accuracy - self.final_accuracy
+__all__ = ["semi_white_box_attack", "white_box_adaptive_attack"]
 
 
 def semi_white_box_attack(
@@ -53,11 +32,12 @@ def semi_white_box_attack(
     config: BfaConfig | None = None,
     eval_x: np.ndarray | None = None,
     eval_y: np.ndarray | None = None,
-) -> SemiWhiteBoxResult:
+) -> AttackOutcome:
     """Plan a BFA offline, then replay it through the real deployment.
 
     The replay fires one planned flip at a time, so the defense ticks
-    through each flip's hammer windows in plan order.
+    through each flip's hammer windows in plan order.  The outcome's
+    ``attempts`` counts the planned flips.
     """
     eval_x = attack_x if eval_x is None else eval_x
     eval_y = attack_y if eval_y is None else eval_y
@@ -70,19 +50,9 @@ def semi_white_box_attack(
     )
     planned = [a.location for a in planner.steps() if a.succeeded]
     qmodel.restore(snapshot)
-    result = SemiWhiteBoxResult(
-        planned_sequence=planned,
-        initial_accuracy=evaluate(qmodel.model, eval_x, eval_y),
+    return replay(
+        "semi-white-box", qmodel, planned, executor, eval_x, eval_y
     )
-    # Replay against the deployment; the attacker cannot tell which flips
-    # landed, it just fires the precomputed sequence.
-    for location in result.planned_sequence:
-        if executor.execute(location):
-            result.landed.append(location)
-        else:
-            result.blocked.append(location)
-    result.final_accuracy = evaluate(qmodel.model, eval_x, eval_y)
-    return result
 
 
 def white_box_adaptive_attack(

@@ -54,21 +54,12 @@ class BfaConfig:
     max_iterations: int = 50
     stop_accuracy: float | None = None   # e.g. 0.11 for CIFAR-10-like
     exact_eval_top: int = 8              # layers exact-evaluated per iteration
-    eval_batch_size: int = 256
-    min_estimated_gain: float = 0.0      # candidates must increase loss
-    # Micro-batch size for the per-iteration gradient pass
-    # (:func:`repro.nn.train.loss_and_grads`): ``None`` is one full-batch
-    # pass; a smaller value accumulates grads across slices so large
-    # attack batches no longer spike peak activation memory.
-    grad_batch_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.exact_eval_top < 1:
             raise ValueError("exact_eval_top must be >= 1")
-        if self.grad_batch_size is not None and self.grad_batch_size < 1:
-            raise ValueError("grad_batch_size must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -262,8 +253,8 @@ class BitFlipAttack:
         results: list[tuple[BitLocation, float]] = []
         for flat in top:
             score = float(scores[flat])
-            if not np.isfinite(score) or score <= self.config.min_estimated_gain:
-                break
+            if not np.isfinite(score) or score <= 0.0:
+                break  # candidates must increase the loss
             index, bit = divmod(int(flat), 8)
             results.append((BitLocation(layer_index, index, bit), score))
         return results
@@ -274,10 +265,12 @@ class BitFlipAttack:
         """Attack-batch loss with ``location`` flipped (flip, measure,
         revert).
 
-        With the gradient pass's segment ``inputs`` the forward resumes at
-        the segment owning the flipped layer: the segments before it see
+        The forward resumes at the segment owning the flipped layer, from
+        the gradient pass's segment ``inputs``: the segments before it see
         only base weights, so their captured outputs are this candidate's
-        too.  Without them (micro-batched gradient pass) it runs in full.
+        too.  ``inputs=None`` runs the full forward instead.  The search
+        never does; it is the reference the ``bfa_exact_eval`` bench pair
+        times and checks the resumed losses against.
         """
         start = 0 if inputs is None else self.qmodel.segment_of(location.layer)
         x = Tensor(self.attack_x if inputs is None else inputs[start])
@@ -290,11 +283,10 @@ class BitFlipAttack:
 
     def _select_flip(self) -> tuple[BitLocation, float] | None:
         """One full inter/intra-layer search step; returns (bit, est gain)."""
-        inputs = [] if self.config.grad_batch_size is None else None
+        inputs: list[np.ndarray] = []
         # Also leaves the model in eval mode for the exact evaluations.
         loss_and_grads(
-            self.qmodel.model, self.attack_x, self.attack_y,
-            batch_size=self.config.grad_batch_size, inputs=inputs,
+            self.qmodel.model, self.attack_x, self.attack_y, inputs=inputs
         )
         per_layer = []
         for layer_index in range(self.qmodel.num_layers):
@@ -320,10 +312,7 @@ class BitFlipAttack:
     # ------------------------------------------------------------------ #
 
     def evaluate_accuracy(self) -> float:
-        return evaluate(
-            self.qmodel.model, self.eval_x, self.eval_y,
-            batch_size=self.config.eval_batch_size,
-        )
+        return evaluate(self.qmodel.model, self.eval_x, self.eval_y)
 
     def steps(self) -> Iterator[FlipAttempt]:
         """The search loop: select, commit and yield one attempt at a time.

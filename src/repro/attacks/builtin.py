@@ -1,20 +1,20 @@
 """Built-in ``@attacker`` registrations.
 
 Importing this module populates the attacker registry with the ported
-attacks — random flips, progressive BFA, targeted T-BFA, the
-semi-white-box replay, the adaptive white-box variant — plus smart-bfa,
-the detection-aware search.  Each factory returns a stateless
+attacks — random flips, the progressive BFA in its defense-blind,
+adaptive and smart-bfa registrations, targeted T-BFA and the
+semi-white-box replay.  Each factory returns a stateless
 :class:`repro.attacks.protocol.Attacker`; all run-specific inputs arrive
 through the :class:`repro.attacks.protocol.AttackContext`.
 """
 
 from __future__ import annotations
 
+from repro.attacks.adaptive import semi_white_box_attack
 from repro.attacks.bfa import BfaConfig, BitFlipAttack
 from repro.attacks.protocol import AttackContext, AttackOutcome, Attacker
 from repro.attacks.random_attack import sample_random_bits
 from repro.attacks.registry import attacker
-from repro.attacks.smart_bfa import SmartBfaAttacker
 from repro.attacks.tbfa import TargetedBitFlipAttack, TbfaConfig
 from repro.nn.quant import BitLocation
 from repro.nn.train import evaluate
@@ -31,19 +31,6 @@ def _bfa_config(context: AttackContext) -> BfaConfig:
     )
 
 
-def _bfa_outcome(name: str, result, **detail) -> AttackOutcome:
-    """Map a :class:`repro.attacks.bfa.AttackResult` onto the protocol."""
-    return AttackOutcome(
-        attacker=name,
-        initial_accuracy=result.initial_accuracy,
-        final_accuracy=result.final_accuracy,
-        attempts=len(result.attempts),
-        flips=list(result.flips),
-        blocked=result.num_blocked,
-        detail={k: float(v) for k, v in detail.items()},
-    )
-
-
 class RandomAttacker(Attacker):
     """Uniform random flips (Fig. 1b baseline): plan-then-replay."""
 
@@ -57,41 +44,59 @@ class RandomAttacker(Attacker):
 
 
 class BfaAttacker(Attacker):
-    """Progressive white-box BFA, blind to any deployed defense."""
+    """Progressive white-box BFA; the registrations differ only in what
+    they read of the defense.
 
-    name = "bfa"
+    * ``bfa`` reads nothing: it is blind to any deployed defense.
+    * ``adaptive`` skips every bit in ``protected_bits()``, the secured
+      set of a swap-based defense like DNN-Defender.
+    * ``smart-bfa`` (Ghavami et al., PAPERS.md) also masks out the whole
+      bit columns in ``guarded_bit_positions()``.  Checksum defenses
+      like RADAR guard only the high bit positions of each weight, so a
+      search confined to the low columns never perturbs a signature: it
+      needs more flips per accuracy point, but no recovery sweep sees
+      them.
+
+    With nothing protected and nothing guarded all three run the same
+    search.
+    """
+
+    def __init__(
+        self, name: str, skip_protected: bool = False,
+        skip_guarded: bool = False,
+    ):
+        self.name = name
+        self.skip_protected = skip_protected
+        self.skip_guarded = skip_guarded
 
     def execute(self, context: AttackContext) -> AttackOutcome:
         attack_x, attack_y = context.batch()
         eval_x, eval_y = context.eval_batch()
-        attack = BitFlipAttack(
-            context.qmodel, attack_x, attack_y,
-            config=_bfa_config(context),
-            executor=context.flip_executor(),
-            eval_x=eval_x, eval_y=eval_y,
-        )
-        return _bfa_outcome(self.name, attack.run_endpoints())
-
-
-class AdaptiveAttacker(Attacker):
-    """Defense-aware BFA: skips every bit it knows to be secured."""
-
-    name = "adaptive"
-
-    def execute(self, context: AttackContext) -> AttackOutcome:
-        attack_x, attack_y = context.batch()
-        eval_x, eval_y = context.eval_batch()
-        secured = set(context.protected_bits())
-        attack = BitFlipAttack(
+        detail: dict[str, float] = {}
+        guarded: frozenset[int] = frozenset()
+        if self.skip_guarded:
+            guarded = context.guarded_bit_positions()
+            detail["avoided_bit_columns"] = float(len(guarded))
+        secured: set[BitLocation] = set()
+        if self.skip_protected:
+            secured = set(context.protected_bits())
+            detail["known_secured_bits"] = float(len(secured))
+        result = BitFlipAttack(
             context.qmodel, attack_x, attack_y,
             config=_bfa_config(context),
             skip=secured,
             executor=context.flip_executor(),
             eval_x=eval_x, eval_y=eval_y,
-        )
-        return _bfa_outcome(
-            self.name, attack.run_endpoints(),
-            known_secured_bits=len(secured),
+            skip_bit_positions=guarded,
+        ).run_endpoints()
+        return AttackOutcome(
+            attacker=self.name,
+            initial_accuracy=result.initial_accuracy,
+            final_accuracy=result.final_accuracy,
+            attempts=len(result.attempts),
+            flips=list(result.flips),
+            blocked=result.num_blocked,
+            detail=detail,
         )
 
 
@@ -100,21 +105,13 @@ class SemiWhiteBoxAttacker(Attacker):
 
     name = "semi-white-box"
 
-    def plan(self, context: AttackContext) -> list[BitLocation]:
+    def execute(self, context: AttackContext) -> AttackOutcome:
         attack_x, attack_y = context.batch()
         eval_x, eval_y = context.eval_batch()
-        from repro.attacks.executor import SoftwareFlipExecutor
-
-        snapshot = context.qmodel.snapshot()
-        planner = BitFlipAttack(
-            context.qmodel, attack_x, attack_y,
-            config=_bfa_config(context),
-            executor=SoftwareFlipExecutor(context.qmodel),
-            eval_x=eval_x, eval_y=eval_y,
+        return semi_white_box_attack(
+            context.qmodel, attack_x, attack_y, context.flip_executor(),
+            config=_bfa_config(context), eval_x=eval_x, eval_y=eval_y,
         )
-        planned = [a.location for a in planner.steps() if a.succeeded]
-        context.qmodel.restore(snapshot)
-        return planned
 
 
 class TbfaAttacker(Attacker):
@@ -162,13 +159,13 @@ def _build_random() -> Attacker:
 @attacker("bfa", title="progressive bit-search BFA (defense-blind)",
           kind="white-box", cost=3.0)
 def _build_bfa() -> Attacker:
-    return BfaAttacker()
+    return BfaAttacker("bfa")
 
 
 @attacker("adaptive", title="adaptive BFA: skips known-secured bits",
           kind="adaptive", cost=3.0)
 def _build_adaptive() -> Attacker:
-    return AdaptiveAttacker()
+    return BfaAttacker("adaptive", skip_protected=True)
 
 
 @attacker("semi-white-box",
@@ -188,4 +185,4 @@ def _build_tbfa() -> Attacker:
           title="detection-aware BFA: avoids checksummed bit columns",
           kind="adaptive", cost=3.0)
 def _build_smart_bfa() -> Attacker:
-    return SmartBfaAttacker()
+    return BfaAttacker("smart-bfa", skip_protected=True, skip_guarded=True)

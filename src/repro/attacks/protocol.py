@@ -10,11 +10,13 @@ same two-phase interface here:
   through a :class:`~repro.attacks.executor.FlipExecutor` and returns a
   uniform :class:`AttackOutcome`.
 
-Replay-style attackers (random, semi-white-box) implement ``plan`` and
-inherit the default ``execute`` (plan offline, fire the sequence);
-interactive searches (BFA and friends) override ``execute`` because
-their planning and execution interleave — each committed flip informs
-the next gradient step.
+Replay-style attackers plan offline and fire the whole sequence
+through :func:`replay`: random implements ``plan`` and inherits the
+default ``execute``, and semi-white-box runs
+:func:`repro.attacks.adaptive.semi_white_box_attack`, the function the
+scenarios call.  Interactive searches (BFA and friends) override
+``execute`` because their planning and execution interleave — each
+committed flip informs the next gradient step.
 
 The :class:`AttackContext` mirrors ``DefenseContext``: it carries the
 deployed model, dataset, seed, flip budget, the executor the defense
@@ -33,7 +35,7 @@ from repro.attacks.executor import FlipExecutor, SoftwareFlipExecutor
 from repro.nn.quant import BitLocation, QuantizedModel
 from repro.nn.train import evaluate
 
-__all__ = ["AttackContext", "AttackOutcome", "Attacker"]
+__all__ = ["AttackContext", "AttackOutcome", "Attacker", "replay"]
 
 
 @dataclass
@@ -179,23 +181,35 @@ class Attacker:
 
     def execute(self, context: AttackContext) -> AttackOutcome:
         """Default replay: plan offline, then fire through the executor."""
-        executor = context.flip_executor()
-        eval_x, eval_y = context.eval_batch()
-        initial = evaluate(context.qmodel.model, eval_x, eval_y)
         planned = self.plan(context)
-        landed: list[BitLocation] = []
-        blocked = 0
-        for location in planned:
-            if executor.execute(location):
-                landed.append(location)
-            else:
-                blocked += 1
-        final = evaluate(context.qmodel.model, eval_x, eval_y)
-        return AttackOutcome(
-            attacker=self.name,
-            initial_accuracy=initial,
-            final_accuracy=final,
-            attempts=len(planned),
-            flips=landed,
-            blocked=blocked,
+        eval_x, eval_y = context.eval_batch()
+        return replay(
+            self.name, context.qmodel, planned, context.flip_executor(),
+            eval_x, eval_y,
         )
+
+
+def replay(
+    attacker: str,
+    qmodel: QuantizedModel,
+    planned: list[BitLocation],
+    executor: FlipExecutor,
+    eval_x: np.ndarray,
+    eval_y: np.ndarray,
+) -> AttackOutcome:
+    """Fire a planned flip sequence through ``executor``, in plan order.
+
+    The attacker cannot tell which flips landed; it fires the whole
+    plan.  Accuracy on ``(eval_x, eval_y)`` is measured right before the
+    first flip and right after the last.
+    """
+    initial = evaluate(qmodel.model, eval_x, eval_y)
+    landed = [location for location in planned if executor.execute(location)]
+    return AttackOutcome(
+        attacker=attacker,
+        initial_accuracy=initial,
+        final_accuracy=evaluate(qmodel.model, eval_x, eval_y),
+        attempts=len(planned),
+        flips=landed,
+        blocked=len(planned) - len(landed),
+    )

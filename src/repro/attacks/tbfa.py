@@ -41,11 +41,6 @@ class TbfaConfig:
     exact_eval_top: int = 6
     stop_success_rate: float = 0.9   # stop once 90% of source maps to target
     preserve_weight: float = 1.0     # weight of the keep-others-correct term
-    # Micro-batch size for the targeted gradient/loss passes: ``None`` is
-    # one full pass per term; a smaller value slices both the source and
-    # preservation batches, accumulating grads, so sweep-scale attack
-    # batches keep peak activation memory bounded.
-    grad_batch_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.source_class == self.target_class:
@@ -54,8 +49,6 @@ class TbfaConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.stop_success_rate <= 1.0:
             raise ValueError("stop_success_rate must be in (0, 1]")
-        if self.grad_batch_size is not None and self.grad_batch_size < 1:
-            raise ValueError("grad_batch_size must be >= 1 or None")
 
 
 @dataclass
@@ -118,83 +111,23 @@ class TargetedBitFlipAttack:
 
     def _targeted_loss(self, build_graph: bool) -> float:
         """CE towards the target on source samples, plus a preservation
-        term on the remaining samples.  Populates grads when asked.
-
-        With ``config.grad_batch_size`` set, each term runs as
-        micro-batch slices with full-batch gradient scaling
-        (:func:`repro.nn.functional.cross_entropy_slice`); grads
-        accumulate across slices and the composite loss is rebuilt from
-        the concatenated per-sample losses.
-        """
+        term on the remaining samples.  Populates grads when asked."""
         model = self.qmodel.model
         model.eval()
-        batch_size = self.config.grad_batch_size
         if build_graph:
             model.zero_grad()
-            if batch_size is not None:
-                return self._targeted_loss_microbatched(batch_size)
-            loss = F.cross_entropy(
-                model(Tensor(self.x_source)), self.y_forced
-            )
-            if self.x_other.shape[0] and self.config.preserve_weight > 0:
-                keep = F.cross_entropy(
-                    model(Tensor(self.x_other)), self.y_other
-                )
-                loss = loss + keep * self.config.preserve_weight
+            loss = self._loss_terms(model)
             loss.backward()
             return loss.item()
         with no_grad():
-            if batch_size is not None:
-                return self._targeted_loss_microbatched(
-                    batch_size, backward=False
-                )
-            loss = F.cross_entropy(
-                model(Tensor(self.x_source)), self.y_forced
-            )
-            if self.x_other.shape[0] and self.config.preserve_weight > 0:
-                keep = F.cross_entropy(
-                    model(Tensor(self.x_other)), self.y_other
-                )
-                loss = loss + keep * self.config.preserve_weight
-            return loss.item()
+            return self._loss_terms(model).item()
 
-    def _term_microbatched(
-        self, x: np.ndarray, y: np.ndarray, batch_size: int,
-        term_weight: float, backward: bool,
-    ) -> np.floating:
-        """One loss term (mean CE over ``x``) in micro-batch slices.
-
-        Each slice backpropagates with the full-term ``weight / len(x)``
-        scaling, so accumulated grads match the unsliced term's; returns
-        the term's mean loss (unweighted) as a float32 scalar.
-        """
-        model = self.qmodel.model
-        n = x.shape[0]
-        per_sample: list[np.ndarray] = []
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            logits = model(Tensor(x[start:stop]))
-            loss, losses = F.cross_entropy_slice(logits, y[start:stop], n)
-            if backward:
-                term = loss if term_weight == 1.0 else loss * term_weight
-                term.backward()
-            per_sample.append(losses)
-        return np.mean(np.concatenate(per_sample))
-
-    def _targeted_loss_microbatched(
-        self, batch_size: int, backward: bool = True
-    ) -> float:
-        source = self._term_microbatched(
-            self.x_source, self.y_forced, batch_size, 1.0, backward
-        )
-        total = source
+    def _loss_terms(self, model) -> Tensor:
+        loss = F.cross_entropy(model(Tensor(self.x_source)), self.y_forced)
         if self.x_other.shape[0] and self.config.preserve_weight > 0:
-            keep = self._term_microbatched(
-                self.x_other, self.y_other, batch_size,
-                self.config.preserve_weight, backward,
-            )
-            total = source + keep * self.config.preserve_weight
-        return float(total)
+            keep = F.cross_entropy(model(Tensor(self.x_other)), self.y_other)
+            loss = loss + keep * self.config.preserve_weight
+        return loss
 
     def success_rate(self) -> float:
         """Fraction of source samples classified as the target class."""

@@ -169,7 +169,9 @@ class DefendedDeployment:
     def attack_context(self, budget: int = 25, params: dict | None = None):
         """An :class:`repro.attacks.protocol.AttackContext` over this
         deployment: the defense's executor, the defense object for
-        defense-aware attackers, and the deployment's seed."""
+        defense-aware attackers, and the deployment's seed.  Outcome
+        accuracies are measured on the test split, as :meth:`accuracy`
+        is."""
         from repro.attacks.protocol import AttackContext
 
         return AttackContext(
@@ -180,6 +182,8 @@ class DefendedDeployment:
             executor=self.flip_executor(),
             defense=self.defense,
             params=dict(params or {}),
+            eval_x=self.dataset.x_test,
+            eval_y=self.dataset.y_test,
         )
 
     def run_attack(

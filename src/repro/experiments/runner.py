@@ -49,6 +49,16 @@ __all__ = [
     "trial_seed",
 ]
 
+# Fields BfaConfig once had, each with one value in practice.  Profile
+# cache keys keep them at that value, so every profile already on disk
+# stays valid.
+_RETIRED_BFA_FIELDS = {
+    "eval_batch_size": 256,
+    "min_estimated_gain": 0.0,
+    "grad_batch_size": None,
+    "fast_scoring": True,
+}
+
 
 def normalize_params(params: Mapping[str, Any] | None) -> dict:
     """JSON-normalise scenario params (shared by runner and shards).
@@ -143,10 +153,7 @@ class TrialContext:
         )
         config_key = None
         if config is not None:
-            # BfaConfig once had a ``fast_scoring`` flag (always true in
-            # practice).  Keeping it as a constant keeps every cache key,
-            # and so every profile already on disk, valid.
-            config_key = {**dataclasses.asdict(config), "fast_scoring": True}
+            config_key = {**dataclasses.asdict(config), **_RETIRED_BFA_FIELDS}
         attack_config = {
             "rounds": int(rounds),
             "config": config_key,

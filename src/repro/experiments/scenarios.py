@@ -818,7 +818,7 @@ def ablation(ctx):
             eval_x=dataset.x_test, eval_y=dataset.y_test,
         )
         accuracies[label] = outcome.final_accuracy
-        blocked[label] = float(len(outcome.blocked))
+        blocked[label] = float(outcome.blocked)
 
     # Pipelining: analytic latency below the saturation point.
     timing = TimingParams(t_rh=4000)
@@ -917,9 +917,9 @@ def semi_whitebox(ctx):
     )
     return {
         "metrics": {
-            "planned_flips": float(len(result.planned_sequence)),
-            "landed_flips": float(len(result.landed)),
-            "blocked_flips": float(len(result.blocked)),
+            "planned_flips": float(result.attempts),
+            "landed_flips": float(result.num_flips),
+            "blocked_flips": float(result.blocked),
             "initial_accuracy": result.initial_accuracy,
             "final_accuracy": result.final_accuracy,
             "accuracy_drop": result.accuracy_drop,
@@ -1372,12 +1372,10 @@ def sweep_attack_trh(ctx):
                 eval_x=preset.dataset.x_test, eval_y=preset.dataset.y_test,
             )
             key = f"{t_rh}x{budget}"
-            planned = max(1, len(outcome.planned_sequence))
+            planned = max(1, outcome.attempts)
             metrics[f"final_acc[{key}]"] = outcome.final_accuracy
             metrics[f"acc_drop[{key}]"] = outcome.accuracy_drop
-            metrics[f"blocked_frac[{key}]"] = (
-                len(outcome.blocked) / planned
-            )
+            metrics[f"blocked_frac[{key}]"] = outcome.blocked / planned
     return {
         "metrics": metrics,
         "detail": {

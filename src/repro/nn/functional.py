@@ -488,8 +488,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return log_softmax(x, axis=axis).exp()
 
 
-def _log_probs(logits: Tensor, targets: np.ndarray) -> np.ndarray:
-    """Validated per-row log-probabilities shared by the CE variants."""
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy between ``(N, K)`` logits and integer targets."""
     targets = np.asarray(targets)
     if targets.ndim != 1:
         raise ValueError(
@@ -506,14 +506,7 @@ def _log_probs(logits: Tensor, targets: np.ndarray) -> np.ndarray:
     if targets.min() < 0 or targets.max() >= k:
         raise ValueError("target class index out of range")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy between ``(N, K)`` logits and integer targets."""
-    targets = np.asarray(targets)
-    log_probs = _log_probs(logits, targets)
-    n = logits.shape[0]
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss_value = -log_probs[np.arange(n), targets].mean()
     probs = np.exp(log_probs)
 
@@ -525,43 +518,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     return Tensor._make(np.asarray(loss_value, dtype=logits.dtype),
                         (logits,), backward_fn)
-
-
-def cross_entropy_slice(
-    logits: Tensor, targets: np.ndarray, normalizer: int
-) -> tuple[Tensor, np.ndarray]:
-    """Cross-entropy for one micro-batch slice of a larger batch.
-
-    Returns ``(loss, per_sample)`` where ``per_sample`` holds each row's
-    negative log-likelihood and ``loss`` backpropagates with the
-    *full-batch* scaling ``1/normalizer`` — exactly the per-sample logit
-    gradient the single-pass mean loss produces, so slice-wise backward
-    passes accumulate the same contributions as one full pass.  The
-    scalar ``loss`` value (``per_sample.sum() / normalizer``) is a slice
-    partial; callers reconstruct the batch loss from the concatenated
-    ``per_sample`` vectors (see
-    :func:`repro.nn.train.loss_and_grads`).
-    """
-    if normalizer < 1:
-        raise ValueError(f"normalizer must be >= 1, got {normalizer}")
-    targets = np.asarray(targets)
-    log_probs = _log_probs(logits, targets)
-    n = logits.shape[0]
-    per_sample = -log_probs[np.arange(n), targets]
-    loss_value = per_sample.sum() / normalizer
-    probs = np.exp(log_probs)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        g = probs.copy()
-        g[np.arange(n), targets] -= 1.0
-        g *= float(grad) / normalizer
-        Tensor._accumulate(logits, g)
-
-    return (
-        Tensor._make(np.asarray(loss_value, dtype=logits.dtype),
-                     (logits,), backward_fn),
-        per_sample,
-    )
 
 
 def dropout(x: Tensor, p: float, training: bool,

@@ -87,55 +87,26 @@ def evaluate(
 
 def loss_and_grads(
     model: Module, x: np.ndarray, y: np.ndarray,
-    batch_size: int | None = None,
     inputs: list[np.ndarray] | None = None,
 ) -> float:
-    """Forward/backward pass(es) in eval mode; returns the loss value.
+    """Forward/backward pass in eval mode; returns the loss value.
 
     Used by the attack and the profiler: eval mode keeps batch-norm
     statistics frozen (the attacker cannot perturb them), while autograd
     still populates ``weight.grad`` for the bit ranking.
 
-    ``batch_size=None`` (the default) is the single full-batch pass.
-    Passing a micro-batch size accumulates parameter gradients across
-    slices instead, bounding peak activation memory at
-    O(``batch_size``) rather than O(len(x)) for large attack batches.
-    Per-sample logit gradients use the full-batch ``1/N`` scaling
-    (:func:`repro.nn.functional.cross_entropy_slice`), the returned loss
-    is reconstructed from the concatenated per-sample losses, and the
-    slice accumulation itself is exact (grouping-exact reference test).
-    Loss and grads match the single pass to float32 rounding — not byte
-    for byte, because BLAS may pick different gemm kernels for different
-    batch shapes (per-row results shift in the last mantissa bits) and
-    slice partial sums are grouped per slice — parity-tested with tight
-    tolerances in ``tests/nn/test_train_microbatch.py``.
-
     ``inputs``, when given, receives the input of each of
-    ``model.segments()`` in the full-batch pass, in segment order:
+    ``model.segments()`` in segment order:
     :meth:`repro.nn.quant.QuantizedModel.__call__` resumes a forward
-    from them.  A micro-batched pass has no full-batch inputs to capture.
+    from them.
     """
     model.eval()
     model.zero_grad()
-    n = x.shape[0]
-    if batch_size is None or batch_size >= n:
-        out = Tensor(x)
-        for fn, _ in model.segments():
-            if inputs is not None:
-                inputs.append(out.data)
-            out = fn(out)
-        loss = F.cross_entropy(out, y)
-        loss.backward()
-        return loss.item()
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if inputs is not None:
-        raise ValueError("inputs capture needs the full-batch pass")
-    per_sample: list[np.ndarray] = []
-    for start in range(0, n, batch_size):
-        stop = start + batch_size
-        logits = model(Tensor(x[start:stop]))
-        loss, losses = F.cross_entropy_slice(logits, y[start:stop], n)
-        loss.backward()
-        per_sample.append(losses)
-    return float(np.mean(np.concatenate(per_sample)))
+    out = Tensor(x)
+    for fn, _ in model.segments():
+        if inputs is not None:
+            inputs.append(out.data)
+        out = fn(out)
+    loss = F.cross_entropy(out, y)
+    loss.backward()
+    return loss.item()

@@ -84,10 +84,6 @@ def test_every_function_def_is_a_graph_node():
         )
 
 
-def test_only_sanctioned_dead_suppressions(report):
-    # REP006's fast-math exemption is forward-looking (the ROADMAP's
-    # planned nn/fast_math.py tier) and deliberately kept; anything
-    # else dead must be cleaned up or consciously added here.
-    assert [
-        (dead["kind"], dead["path"]) for dead in report.dead_suppressions
-    ] == [("exempt", "nn/fast_math.py")]
+def test_no_dead_suppressions(report):
+    # A pragma or rule exemption that suppresses nothing is stale.
+    assert report.dead_suppressions == []

@@ -1,8 +1,11 @@
 """Tests for the Attacker protocol, registry, and smart-bfa evasion."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.attacks.bfa import BfaConfig, BitFlipAttack
+from repro.attacks.builtin import BfaAttacker
 from repro.attacks.protocol import AttackContext, AttackOutcome, Attacker
 from repro.attacks.registry import (
     attacker,
@@ -137,21 +140,89 @@ class TestSmartBfa:
         assert radar.sweep() == []  # structurally invisible
         assert outcome.detail["avoided_bit_columns"] == 2.0
 
-    def test_falls_back_to_plain_bfa_without_defense(
-        self, quantized_factory, tiny_dataset
+
+class TestBfaRegistrations:
+    """``bfa``, ``adaptive`` and ``smart-bfa`` run one search: they
+    differ only in what they read of the defense."""
+
+    @settings(
+        max_examples=6, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(seed=st.integers(0, 1000), budget=st.integers(1, 4))
+    def test_registrations_differ_only_in_what_they_read(
+        self, seed, budget, quantized_factory, tiny_dataset
     ):
-        def run(name):
+        def execute(name, secured=frozenset()):
             qmodel = quantized_factory()
-            defense = build_defense("none", DefenseContext(qmodel=qmodel))
+            defense = SecuredBitsDefense(qmodel, set(secured))
             ctx = AttackContext(
-                qmodel=qmodel, dataset=tiny_dataset, seed=0, budget=4,
-                executor=defense.executor(), defense=defense,
+                qmodel=qmodel, dataset=tiny_dataset, seed=seed,
+                budget=budget, executor=defense.executor(), defense=defense,
             )
             return build_attacker(name).execute(ctx)
 
-        smart = run("smart-bfa")
-        plain = run("bfa")
-        assert smart.flips == plain.flips  # no guards -> same search
+        plain = execute("bfa").flips
+        assert plain
+        # Nothing protected, nothing guarded: all three flip the same bits.
+        assert execute("adaptive").flips == plain
+        assert execute("smart-bfa").flips == plain
+        # Protected bits but no guarded columns: smart-bfa reads only what
+        # adaptive reads, and neither tries a protected bit.
+        secured = frozenset(plain)
+        adaptive = execute("adaptive", secured)
+        smart = execute("smart-bfa", secured)
+        assert adaptive.flips and adaptive.blocked == 0
+        assert smart.flips == adaptive.flips and smart.blocked == 0
+
+    def test_one_class_three_registrations(self):
+        specs = {name: get_attacker(name)
+                 for name in ("bfa", "adaptive", "smart-bfa")}
+        assert {name: (spec.kind, spec.cost, spec.tournament)
+                for name, spec in specs.items()} == {
+            "bfa": ("white-box", 3.0, True),
+            "adaptive": ("adaptive", 3.0, True),
+            "smart-bfa": ("adaptive", 3.0, True),
+        }
+        built = [build_attacker(name) for name in specs]
+        assert {type(a) for a in built} == {BfaAttacker}
+        assert [a.name for a in built] == list(specs)
+
+    @pytest.mark.parametrize("name, reads, detail", [
+        ("bfa", [], {}),
+        ("adaptive", ["protected_bits"], {"known_secured_bits": 1.0}),
+        ("smart-bfa", ["guarded_bit_positions", "protected_bits"],
+         {"avoided_bit_columns": 2.0, "known_secured_bits": 1.0}),
+    ], ids=["bfa", "adaptive", "smart-bfa"])
+    def test_reads_only_its_defense_queries(
+        self, name, reads, detail, quantized_factory, tiny_dataset
+    ):
+        qmodel = quantized_factory()
+
+        class SpyDefense:
+            """Answers both queries, and records which were asked."""
+
+            def __init__(self):
+                self.asked = []
+
+            def protected_bits(self):
+                self.asked.append("protected_bits")
+                return {BitLocation(0, 0, 7)}
+
+            def guarded_bit_positions(self):
+                self.asked.append("guarded_bit_positions")
+                return {6, 7}
+
+        spy = SpyDefense()
+        ctx = AttackContext(
+            qmodel=qmodel, dataset=tiny_dataset, seed=0, budget=2,
+            defense=spy,
+        )
+        outcome = build_attacker(name).execute(ctx)
+        assert sorted(spy.asked) == reads
+        assert outcome.attacker == name
+        assert outcome.detail == detail
+        assert list(outcome.detail) == list(detail)  # key order is stable
 
 
 class TestOutcomeEndpoints:

@@ -30,7 +30,7 @@ class ArgsortScanAttack(BitFlipAttack):
         for flat in np.argsort(scores, axis=None)[::-1]:
             index, bit = divmod(int(flat), 8)
             score = float(scores.flat[flat])
-            if score <= self.config.min_estimated_gain:
+            if score <= 0.0:
                 return None
             location = BitLocation(layer_index, index, bit)
             if location not in self.skip and location not in self.tried:

@@ -82,11 +82,6 @@ CASES = {
     "default": lambda dataset: {},
     "skip": lambda dataset: {"skip": _secured_champions(dataset)},
     "skip-columns": lambda dataset: {"skip_bit_positions": frozenset({6, 7})},
-    "grad-batch": lambda dataset: {
-        "config": BfaConfig(
-            max_iterations=5, exact_eval_top=4, grad_batch_size=16
-        )
-    },
 }
 
 
@@ -115,6 +110,31 @@ class TestOracleParity:
 
         result, expected = run(BitFlipAttack), run(FullForwardAttack)
         assert _record(result) == _record(expected)
+
+    def test_full_forward_reference_matches_resumed_losses(
+        self, tiny_dataset
+    ):
+        """The library's own full-forward branch, ``inputs=None``, gives
+        each layer champion the resumed loss bit for bit, and reverts its
+        flip."""
+        qmodel = _qmodel()
+        attack = _attack(BitFlipAttack, qmodel, tiny_dataset)
+        inputs = []
+        loss_and_grads(
+            qmodel.model, attack.attack_x, attack.attack_y, inputs=inputs
+        )
+        champions = [
+            candidate[0]
+            for i in range(qmodel.num_layers)
+            if (candidate := attack._layer_best_candidate(i)) is not None
+        ]
+        assert any(qmodel.segment_of(c.layer) > 0 for c in champions)
+        before = [w.tobytes() for w in qmodel.snapshot()]
+        for location in champions:
+            assert attack._candidate_loss(location, None) == (
+                attack._candidate_loss(location, inputs)
+            )
+        assert [w.tobytes() for w in qmodel.snapshot()] == before
 
     def test_commits_land_in_resumed_segments(self, tiny_dataset):
         """The parity above is not vacuous: flips land past the stem, so

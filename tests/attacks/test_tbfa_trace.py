@@ -85,6 +85,37 @@ class TestTargetedAttack:
         assert len(result.success_rate_history) == result.attempts
         assert len(result.other_accuracy_history) == result.attempts
 
+    def test_targeted_loss_same_with_and_without_graph(
+        self, fresh_quantized, tiny_dataset
+    ):
+        x, y = attack_batch(tiny_dataset)
+        attack = TargetedBitFlipAttack(
+            fresh_quantized, x, y, TbfaConfig(source_class=0, target_class=1)
+        )
+        params = [p for _, p in fresh_quantized.model.named_parameters()]
+        fresh_quantized.model.zero_grad()
+        plain = attack._targeted_loss(build_graph=False)
+        assert all(p.grad is None for p in params)
+        assert attack._targeted_loss(build_graph=True) == plain
+        assert any(p.grad is not None and p.grad.any() for p in params)
+
+    def test_preservation_term_weighting(self, fresh_quantized,
+                                         tiny_dataset):
+        x, y = attack_batch(tiny_dataset)
+        source = y == 0
+
+        def loss(batch_x, batch_y, weight):
+            return TargetedBitFlipAttack(
+                fresh_quantized, batch_x, batch_y,
+                TbfaConfig(source_class=0, target_class=1,
+                           preserve_weight=weight),
+            )._targeted_loss(build_graph=False)
+
+        # With no other-class samples there is no preservation term.
+        source_only = loss(x[source], y[source], 1.0)
+        assert loss(x, y, 0.0) == source_only
+        assert loss(x, y, 1.0) > loss(x, y, 0.5) > source_only
+
 
 class TestCommandTrace:
     def make_controller(self):

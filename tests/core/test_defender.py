@@ -222,8 +222,8 @@ class TestAttackScenarios:
             eval_x=deployment.dataset.x_test,
             eval_y=deployment.dataset.y_test,
         )
-        assert result.planned_sequence, "attack should have found targets"
-        assert len(result.blocked) >= len(result.landed)
+        assert result.attempts, "attack should have found targets"
+        assert result.blocked >= result.num_flips
         assert result.accuracy_drop <= 0.08
 
     def test_white_box_needs_extra_flips(self, deployment):

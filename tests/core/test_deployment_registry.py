@@ -40,13 +40,18 @@ class TestRegistryDefenses:
         assert hook not in deployment.controller._activate_hooks
         deployment.close()  # idempotent
 
+    @pytest.mark.parametrize("name", ["random", "bfa"])
     def test_none_defense_and_attacker_override(
-        self, fresh_model, tiny_dataset
+        self, name, fresh_model, tiny_dataset
     ):
         deployment = _build(fresh_model, tiny_dataset, defense="none")
-        outcome = deployment.run_attack(attacker="random", budget=5)
-        assert outcome.attacker == "random"
+        before = deployment.accuracy()
+        outcome = deployment.run_attack(attacker=name, budget=5)
+        assert outcome.attacker == name
         assert outcome.num_flips == 5
+        # The endpoints are measured on the test split, as accuracy() is.
+        assert outcome.initial_accuracy == before
+        assert outcome.final_accuracy == deployment.accuracy()
 
     def test_unnamed_attacker_rejected(self, fresh_model, tiny_dataset):
         deployment = _build(fresh_model, tiny_dataset, defense="none")

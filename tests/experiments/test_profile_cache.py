@@ -120,6 +120,49 @@ class TestTrialContextIntegration:
         assert calls == [2]  # second call served from the shared memo
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_profile_key_keeps_retired_bfa_fields(self, tmp_path):
+        """``BfaConfig``'s retired fields stay in the key, each at the
+        one value it ever took, so keys from before their removal still
+        match."""
+        from repro.attacks.profile import ProfileResult
+        from repro.experiments import TrialContext
+
+        configs = []
+
+        class RecordingCache(ProfileCache):
+            def load(self, spec, attack_config, compute):
+                configs.append(attack_config["config"])
+                return ProfileResult()
+
+        ctx = TrialContext(
+            scenario="t", trial_index=0, seed=0,
+            profile_cache=RecordingCache(tmp_path),
+        )
+        ctx.profile(
+            "resnet20_cifar", None, None, None, rounds=2,
+            config=BfaConfig(max_iterations=8, exact_eval_top=4),
+        )
+        assert configs == [{
+            "max_iterations": 8,
+            "stop_accuracy": None,
+            "exact_eval_top": 4,
+            "eval_batch_size": 256,
+            "min_estimated_gain": 0.0,
+            "grad_batch_size": None,
+            "fast_scoring": True,
+        }]
+
+    def test_retired_fields_never_shadow_live_ones(self):
+        """The retired constants are merged over ``asdict(config)``: a
+        live field of the same name would be silently overwritten in the
+        key, so two different searches would share one profile."""
+        import dataclasses
+
+        from repro.experiments.runner import _RETIRED_BFA_FIELDS
+
+        live = {field.name for field in dataclasses.fields(BfaConfig)}
+        assert live.isdisjoint(_RETIRED_BFA_FIELDS)
+
     def test_registry_profile_key_is_pinned(
         self, tmp_path, fresh_model, quantized_factory, tiny_dataset
     ):

@@ -171,18 +171,14 @@ def resnet20(seed=0):
 # ---------------------------------------------------------------------- #
 
 class TestGradientParity:
-    @pytest.mark.parametrize("pass_kind", ["inputs", "micro-batched"])
-    def test_resnet20_loss_and_grads(self, pass_kind):
+    def test_resnet20_loss_and_grads(self):
         x, y = batch(24)
 
         def run():
             model = resnet20()
-            if pass_kind == "inputs":
-                inputs = []
-                loss = loss_and_grads(model, x, y, inputs=inputs)
-                assert len(inputs) == len(model.segments())
-            else:
-                loss = loss_and_grads(model, x, y, batch_size=8)
+            inputs = []
+            loss = loss_and_grads(model, x, y, inputs=inputs)
+            assert len(inputs) == len(model.segments())
             return loss, grad_bytes(model)
 
         expected, actual = oracle_and_engine(run)

@@ -408,11 +408,6 @@ class TestCrossEntropyEdges:
         with pytest.raises(ValueError, match="non-empty batch"):
             F.cross_entropy(logits, targets)
 
-    def test_empty_batch_raises_in_slice_variant(self):
-        logits = Tensor(np.zeros((0, 10), dtype=np.float32))
-        with pytest.raises(ValueError, match="non-empty batch"):
-            F.cross_entropy_slice(logits, np.zeros(0, dtype=np.int64), 8)
-
     def test_size_one_batch(self):
         logits = Tensor(
             np.array([[2.0, 0.0, -1.0]], dtype=np.float32),
@@ -437,8 +432,3 @@ class TestCrossEntropyEdges:
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(bn.running_var))
         assert np.all(np.isfinite(x.grad))
-
-    def test_slice_variant_validates_normalizer(self):
-        logits = Tensor(np.zeros((2, 4), dtype=np.float32))
-        with pytest.raises(ValueError, match="normalizer"):
-            F.cross_entropy_slice(logits, np.array([0, 1]), 0)

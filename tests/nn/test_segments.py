@@ -106,9 +106,3 @@ def test_default_is_one_segment():
     qmodel = QuantizedModel(model)
     assert {qmodel.segment_of(i) for i in range(qmodel.num_layers)} == {0}
 
-
-def test_capture_needs_the_full_batch_pass():
-    model = MODELS["resnet20"]()
-    x, y = _batch()
-    with pytest.raises(ValueError, match="full-batch"):
-        loss_and_grads(model, x, y, batch_size=2, inputs=[])
