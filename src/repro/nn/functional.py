@@ -6,21 +6,24 @@ matrix multiply per layer; pooling supports the disjoint-window case
 reproduction; cross-entropy fuses log-softmax and NLL with the standard
 ``softmax - onehot`` gradient.
 
-The kernels are vectorized: ``sliding_window_view`` strided im2col,
-pooled scratch buffers reused across calls, in-place/``out=`` matmuls, a
-fused eval-mode batch-norm node with cached constants, and lazy backward
-preparation (pooling argmax masks are only built when a gradient can
-actually flow).  They only change data movement and fuse elementwise
-chains in the exact evaluation order of the per-op graph, never the
-floating-point reduction order, so outputs and gradients are
-byte-identical to the straightforward loop/per-op formulation (the
-parity tests keep such a reference).
+The kernels are vectorized: im2col and col2im are ``np.take`` gathers
+through flat index tables cached per conv geometry, scratch buffers are
+pooled across calls, matmuls run in place/``out=``, eval-mode batch norm
+is one fused node with cached constants, and backward preparation is
+lazy (pooling argmax masks are only built when a gradient can actually
+flow).  They only change data movement and fuse elementwise chains in
+the exact evaluation order of the per-op graph, never the floating-point
+reduction order, so outputs and gradients are byte-identical to the
+straightforward loop/per-op formulation (the parity tests keep such a
+reference).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.tensor import Tensor, _unbroadcast, is_grad_enabled
 
@@ -56,13 +59,15 @@ def _pair(value) -> tuple[int, int]:
 class _BufferPool:
     """Free-list of scratch arrays keyed by ``(shape, dtype)``.
 
-    The convolution hot path allocates multi-megabyte column/padding
-    buffers on every call; page-faulting those in dominates im2col time.
-    The pool recycles them: ``acquire`` pops a previously released array
-    (contents are garbage — callers must overwrite or ``fill``),
-    ``release`` returns it.  Arrays handed to callers that never release
-    (e.g. a conv graph discarded before ``backward``) are simply
-    garbage-collected; the pool only ever misses, never corrupts.
+    Every convolution needs multi-megabyte scratch arrays: the im2col
+    columns, the zero-slotted copies its gathers read from, and in the
+    backward the column gradient, col2im's tap buffer and its output.
+    Page-faulting fresh ones in on each call would dominate the kernels'
+    time.  The pool recycles them: ``acquire`` pops a previously
+    released array (contents are garbage — callers must overwrite or
+    ``fill``), ``release`` returns it.  Arrays handed to callers that
+    never release (e.g. a conv graph discarded before ``backward``) are
+    simply garbage-collected; the pool only ever misses, never corrupts.
 
     Only the main thread touches the pool: ``backward()``'s worker
     threads run just the weight-gradient contraction on columns handed
@@ -111,12 +116,62 @@ def _conv_geometry(
 # im2col / col2im
 # ---------------------------------------------------------------------- #
 
-def _pad_pooled(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the spatial dims into a pooled scratch buffer."""
-    n, c, h, w = x.shape
-    buf = _POOL.acquire((n, c, h + 2 * padding, w + 2 * padding), x.dtype)
-    buf.fill(0)
-    buf[:, :, padding:-padding, padding:-padding] = x
+@functools.lru_cache(maxsize=64)
+def _unfold_index(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """im2col's gather index for one conv geometry, any batch size.
+
+    Flat in ``(c, kh, kw, oh, ow)`` order: entry ``(ci, i, j, oy, ox)`` is
+    the position of pixel ``(ci, oy*stride + i - padding,
+    ox*stride + j - padding)`` in a sample flattened to ``c*h*w`` values
+    followed by one zero slot, and every tap that lands in the padding
+    points at that slot, ``c*h*w``.  Read-only: every caller shares it.
+    """
+    oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
+    y = (np.arange(kh, dtype=np.intp)[:, None, None, None]
+         + stride * np.arange(oh, dtype=np.intp)[:, None] - padding)
+    x = (np.arange(kw, dtype=np.intp)[:, None, None]
+         + stride * np.arange(ow, dtype=np.intp) - padding)
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)    # (kh, kw, oh, ow)
+    channel = np.arange(c, dtype=np.intp)[:, None, None, None, None] * (h * w)
+    index = np.where(inside, channel + y * w + x, c * h * w).ravel()
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=64)
+def _fold_index(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """col2im's per-tap gather index for one conv geometry, any batch size.
+
+    Row ``i*kw + j`` inverts tap ``(i, j)`` of :func:`_unfold_index`: for
+    each of a sample's ``c*h*w`` pixels, the column entry that tap read
+    from it, or the zero slot ``c*kh*kw*oh*ow`` after the columns where
+    the tap missed it.  Read-only: every caller shares it.
+    """
+    taps = kh * kw
+    unfold = _unfold_index(c, h, w, kh, kw, stride, padding).reshape(
+        c, taps, -1
+    )
+    index = np.full((taps, c * h * w + 1), unfold.size, dtype=np.intp)
+    # Padding taps all write the extra last column, which is dropped.
+    index[np.arange(taps)[:, None], unfold] = np.arange(unfold.size).reshape(
+        unfold.shape
+    )
+    index = np.ascontiguousarray(index[:, :-1])
+    index.flags.writeable = False
+    return index
+
+
+def _zero_slotted(a: np.ndarray) -> np.ndarray:
+    """Copy ``a`` into a pooled ``(n, a[0].size + 1)`` buffer whose last
+    column is the zero the gather indices point padding taps at."""
+    n, size = a.shape[0], math.prod(a.shape[1:])
+    buf = _POOL.acquire((n, size + 1), a.dtype)
+    np.copyto(buf[:, :-1], a.reshape(n, size))
+    buf[:, -1] = 0
     return buf
 
 
@@ -124,15 +179,15 @@ def _im2col_into(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     oh: int, ow: int, cols6: np.ndarray,
 ) -> np.ndarray:
-    """Strided-view im2col into a caller-supplied ``(n,c,kh,kw,oh,ow)``
-    buffer; returns it reshaped to ``(n, c*kh*kw, oh*ow)``."""
-    n, c = x.shape[:2]
-    padded = _pad_pooled(x, padding) if padding else x
-    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]       # (n, c, oh, ow, kh, kw)
-    np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
-    if padding:
-        _POOL.release(padded)
+    """im2col into a caller-supplied contiguous ``(n,c,kh,kw,oh,ow)``
+    buffer, by one gather; returns it reshaped to ``(n, c*kh*kw, oh*ow)``."""
+    n, c, h, w = x.shape
+    src = _zero_slotted(x)
+    index = _unfold_index(c, h, w, kh, kw, stride, padding)
+    # mode="clip" lets take write straight into ``out``; "raise" would
+    # buffer it.  No index needs clipping: all lie in [0, c*h*w].
+    np.take(src, index, axis=1, out=cols6.reshape(n, index.size), mode="clip")
+    _POOL.release(src)
     return cols6.reshape(n, c * kh * kw, oh * ow)
 
 
@@ -153,27 +208,29 @@ def _col2im_into(
     kw: int,
     stride: int,
     padding: int,
-    padded: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Fold columns into a caller-supplied padded buffer (zeroed here).
+    """Fold columns into a caller-supplied contiguous ``x_shape`` buffer
+    (zeroed here).
 
-    The accumulation runs in a fixed row-major ``(i, j)`` order, so
-    overlapping windows always sum in the same floating-point order
-    whichever buffer the caller supplies.
+    Tap by tap in row-major ``(i, j)`` order, one gather picks that tap's
+    column entry for every pixel (zero where it has none) and one ``+=``
+    adds it.  These are the additions of a strided ``+=`` per tap into a
+    zeroed padded buffer, in the same order from the same ``+0.0``: a
+    sum that never held ``-0.0`` is unchanged by adding ``+0.0``.  One
+    tap at a time keeps a single tap buffer live, not ``kh*kw`` of them.
     """
     n, c, h, w = x_shape
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
-    padded.fill(0)
-    for i in range(kh):
-        i_end = i + stride * oh
-        for j in range(kw):
-            j_end = j + stride * ow
-            padded[:, :, i:i_end:stride, j:j_end:stride] += cols6[:, :, i, j]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    src = _zero_slotted(cols)
+    tap = _POOL.acquire((n, c * h * w), cols.dtype)
+    acc = out.reshape(n, c * h * w)
+    acc.fill(0)
+    for index in _fold_index(c, h, w, kh, kw, stride, padding):
+        np.take(src, index, axis=1, out=tap, mode="clip")
+        acc += tap
+    _POOL.release(src)
+    _POOL.release(tap)
+    return out
 
 
 def col2im(
@@ -185,11 +242,8 @@ def col2im(
     padding: int,
 ) -> np.ndarray:
     """Fold patch columns back to an input-shaped array (adjoint of im2col)."""
-    n, c, h, w = x_shape
-    padded = np.zeros(
-        (n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype
-    )
-    return _col2im_into(cols, x_shape, kh, kw, stride, padding, padded)
+    out = np.empty(x_shape, dtype=cols.dtype)
+    return _col2im_into(cols, x_shape, kh, kw, stride, padding, out)
 
 
 # ---------------------------------------------------------------------- #
@@ -254,15 +308,12 @@ def conv2d(
         if x.requires_grad:
             grad_cols = _POOL.acquire(pass_cols.shape, grad.dtype)
             np.matmul(w2d.T, grad2d, out=grad_cols)       # (N, CKK, L)
-            padded = _POOL.acquire(
-                (n, c, h + 2 * padding, w + 2 * padding), grad.dtype
-            )
-            grad_x = _col2im_into(
-                grad_cols, x_shape, kh, kw, stride, padding, padded
-            )
-            Tensor._accumulate(x, grad_x)
+            grad_x = _POOL.acquire(x_shape, grad.dtype)
+            Tensor._accumulate(x, _col2im_into(
+                grad_cols, x_shape, kh, kw, stride, padding, grad_x
+            ))
             _POOL.release(grad_cols)
-            _POOL.release(padded)
+            _POOL.release(grad_x)
 
     return Tensor._make(out, parents, backward_fn)
 

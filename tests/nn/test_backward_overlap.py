@@ -80,14 +80,12 @@ def _conv2d_inline(x, weight, bias=None, stride=1, padding=0):
         if x.requires_grad:
             grad_cols = F._POOL.acquire(cols.shape, grad.dtype)
             np.matmul(w2d.T, grad2d, out=grad_cols)
-            padded = F._POOL.acquire(
-                (n, c, h + 2 * padding, w + 2 * padding), grad.dtype
-            )
+            grad_x = F._POOL.acquire(x.data.shape, grad.dtype)
             Tensor._accumulate(x, F._col2im_into(
-                grad_cols, x.data.shape, kh, kw, stride, padding, padded
+                grad_cols, x.data.shape, kh, kw, stride, padding, grad_x
             ))
             F._POOL.release(grad_cols)
-            F._POOL.release(padded)
+            F._POOL.release(grad_x)
         F._POOL.release(cols6)
         cols = None
         cols6 = None

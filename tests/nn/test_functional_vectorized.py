@@ -4,7 +4,7 @@ The kernels must be byte-identical to a straightforward formulation —
 same forward values, same loss, same gradients — because they only
 change data movement and graph fusion, never floating-point evaluation
 order.  That formulation lives here as small test-local oracles: a loop
-im2col, a reference ``conv2d`` built on it (``col2im`` backward, fresh
+im2col and a loop col2im, a reference ``conv2d`` built on them (fresh
 buffers), the per-op Tensor chain for eval batch norm, and a loop
 max-pool.  :func:`_reference_and_library` patches the oracles into
 ``repro.nn.functional`` so whole models run on them.
@@ -12,6 +12,8 @@ max-pool.  :func:`_reference_and_library` patches the oracles into
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     BatchNorm2d,
@@ -21,6 +23,7 @@ from repro.nn import (
     MaxPool2d,
     ReLU,
     Sequential,
+    make_resnet20,
 )
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad
@@ -45,8 +48,26 @@ def _im2col_loop(x, kh, kw, stride, padding):
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
+def _col2im_loop(cols, x_shape, kh, kw, stride, padding):
+    """Oracle col2im: a fresh zeroed padded buffer and one strided ``+=``
+    per kernel offset ``(i, j)``, in row-major order."""
+    n, c, h, w = x_shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
+    padded = np.zeros(
+        (n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype
+    )
+    for i in range(kh):
+        for j in range(kw):
+            padded[
+                :, :, i:i + stride * oh:stride, j:j + stride * ow:stride
+            ] += cols6[:, :, i, j]
+    return padded[:, :, padding:padding + h, padding:padding + w]
+
+
 def _conv2d_reference(x, weight, bias=None, stride=1, padding=0):
-    """Oracle conv2d: loop im2col, fresh buffers, ``col2im`` backward."""
+    """Oracle conv2d: loop im2col, fresh buffers, loop col2im backward."""
     n, c, h, w = x.shape
     f, _, kh, kw = weight.shape
     oh = (h + 2 * padding - kh) // stride + 1
@@ -66,7 +87,7 @@ def _conv2d_reference(x, weight, bias=None, stride=1, padding=0):
         if bias is not None and bias.requires_grad:
             Tensor._accumulate(bias, grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            Tensor._accumulate(x, F.col2im(
+            Tensor._accumulate(x, _col2im_loop(
                 w2d.T @ grad2d, x.shape, kh, kw, stride, padding
             ))
 
@@ -248,15 +269,38 @@ class TestConv2d:
         assert run(F.conv2d) == run(_conv2d_reference)
 
 
+_GEOMETRIES = [
+    (1, 0, 3, 3),
+    (1, 1, 3, 3),
+    (2, 1, 3, 3),
+    (3, 2, 5, 5),
+    (2, 0, 1, 1),
+    (1, 2, 2, 4),
+]
+
+
+def _special_columns(shape, dtype, rng):
+    """Random columns with every special value, one NaN payload per sample.
+
+    Sample 0 is all ``-0.0``: a fold must start from ``+0.0``, so each of
+    its pixels sums to ``+0.0``.  Sample 1 holds NaN, sample 2 ``+-inf``
+    (whose sum is the other NaN), sample 3 stray ``-0.0``.  Which NaN an
+    addition of two different NaNs returns is not fixed by IEEE 754, and
+    numpy's float add picks by an element's place in its vector loop, so
+    no sample mixes the two.
+    """
+    cols = rng.standard_normal(shape).astype(dtype)
+    cols[0] = -0.0
+    for sample, values in ((1, (np.nan, -0.0)), (2, (np.inf, -np.inf, -0.0)),
+                           (3, (-0.0,))):
+        flat = cols[sample].reshape(-1)
+        for value in values:
+            flat[rng.integers(0, flat.size, size=flat.size // 8 + 1)] = value
+    return cols
+
+
 class TestIm2colCol2im:
-    @pytest.mark.parametrize("stride,padding,kh,kw", [
-        (1, 0, 3, 3),
-        (1, 1, 3, 3),
-        (2, 1, 3, 3),
-        (3, 2, 5, 5),
-        (2, 0, 1, 1),
-        (1, 2, 2, 4),
-    ])
+    @pytest.mark.parametrize("stride,padding,kh,kw", _GEOMETRIES)
     def test_matches_loop_reference(self, stride, padding, kh, kw):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 4, 11, 13)).astype(np.float32)
@@ -266,6 +310,26 @@ class TestIm2colCol2im:
             pytest.skip("geometry does not fit")
         cols = F.im2col(x, kh, kw, stride, padding)
         assert cols.tobytes() == _im2col_loop(x, kh, kw, stride, padding).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding,kh,kw", _GEOMETRIES)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_col2im_matches_loop_reference(self, stride, padding, kh, kw,
+                                           dtype):
+        """The fold adds each tap in row-major order from ``+0.0``, byte
+        for byte, through ``-0.0``, ``+-inf`` and NaN."""
+        x_shape = (4, 4, 11, 13)
+        oh = (11 + 2 * padding - kh) // stride + 1
+        ow = (13 + 2 * padding - kw) // stride + 1
+        if oh <= 0 or ow <= 0:
+            pytest.skip("geometry does not fit")
+        cols = _special_columns(
+            (4, 4 * kh * kw, oh * ow), dtype, np.random.default_rng(19)
+        )
+        folded = F.col2im(cols, x_shape, kh, kw, stride, padding)
+        expected = _col2im_loop(cols, x_shape, kh, kw, stride, padding)
+        assert folded.dtype == expected.dtype
+        assert folded.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("stride,padding,kh,kw", [
         (1, 1, 3, 3),
@@ -288,6 +352,98 @@ class TestIm2colCol2im:
         lhs = float((u * cols).sum())
         rhs = float((folded * x).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestGatherIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3), c=st.integers(1, 3),
+        h=st.integers(1, 9), w=st.integers(1, 9),
+        kh=st.integers(1, 4), kw=st.integers(1, 4),
+        stride=st.integers(1, 3), padding=st.integers(0, 2),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gather_matches_loops_on_any_geometry(
+        self, n, c, h, w, kh, kw, stride, padding, dtype, seed
+    ):
+        """im2col and col2im equal the loop oracles byte for byte; their
+        cached tables index only ``[0, zero slot]`` (so ``mode="clip"``
+        never clamps), are read-only, and serve every batch size."""
+        oh = (h + 2 * padding - kh) // stride + 1
+        ow = (w + 2 * padding - kw) // stride + 1
+        assume(oh > 0 and ow > 0)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        cols = F.im2col(x, kh, kw, stride, padding)
+        assert cols.tobytes() == _im2col_loop(
+            x, kh, kw, stride, padding
+        ).tobytes()
+        u = rng.standard_normal(cols.shape).astype(dtype)
+        u[0, ::2] = -0.0
+        assert F.col2im(u, x.shape, kh, kw, stride, padding).tobytes() == (
+            _col2im_loop(u, x.shape, kh, kw, stride, padding).tobytes()
+        )
+
+        geometry = (c, h, w, kh, kw, stride, padding)
+        unfold = F._unfold_index(*geometry)
+        fold = F._fold_index(*geometry)
+        assert unfold.shape == (c * kh * kw * oh * ow,)
+        assert fold.shape == (kh * kw, c * h * w)
+        assert 0 <= unfold.min() and unfold.max() <= c * h * w
+        assert 0 <= fold.min() and fold.max() <= c * kh * kw * oh * ow
+        assert not unfold.flags.writeable and not fold.flags.writeable
+
+        misses = (F._unfold_index.cache_info().misses,
+                  F._fold_index.cache_info().misses)
+        wider = np.zeros((n + 2, c, h, w), dtype)
+        F.col2im(F.im2col(wider, kh, kw, stride, padding), wider.shape,
+                 kh, kw, stride, padding)
+        assert (F._unfold_index.cache_info().misses,
+                F._fold_index.cache_info().misses) == misses
+        assert F._unfold_index(*geometry) is unfold
+        assert F._fold_index(*geometry) is fold
+
+
+class TestScratchPool:
+    def test_pool_steady_across_gradient_passes(self, monkeypatch):
+        """Three gradient passes on a benchmark-shaped ResNet-20 leave
+        the pool as the second left it, hold no view, and hold every
+        conv's zero-slotted gather sources and col2im's tap buffers."""
+        pool = F._BufferPool()
+        monkeypatch.setattr(F, "_POOL", pool)
+        conv2d = F.conv2d
+        gather_keys = set()
+
+        def recording_conv2d(x, weight, bias=None, stride=1, padding=0):
+            n, c, h, w = x.shape
+            kh, kw = weight.shape[2:]
+            dtype = x.data.dtype.str
+            gather_keys.add(((n, c * h * w + 1), dtype))           # im2col
+            if x.requires_grad:
+                oh, ow = F._conv_geometry(h, w, kh, kw, stride, padding)
+                gather_keys.add(((n, c * kh * kw * oh * ow + 1), dtype))
+                gather_keys.add(((n, c * h * w), dtype))           # tap
+            return conv2d(x, weight, bias, stride=stride, padding=padding)
+
+        monkeypatch.setattr(F, "conv2d", recording_conv2d)
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((96, 3, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 10, size=96)
+        model = make_resnet20(width_scale=0.5, seed=0)
+
+        def counts():
+            loss_and_grads(model, x, y)
+            return {key: len(free) for key, free in pool._free.items()}
+
+        counts()
+        second = counts()
+        assert counts() == second
+        assert gather_keys and gather_keys <= set(second)
+        assert all(
+            array.base is None
+            for free in pool._free.values() for array in free
+        )
 
 
 class TestMaxPoolTies:
