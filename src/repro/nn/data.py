@@ -11,14 +11,31 @@ Each class gets a smooth random "prototype" image (low-frequency Gaussian
 field); samples are prototype + per-sample smooth deformation + pixel noise +
 a random circular shift.  Difficulty is controlled by the noise-to-signal
 ratio.
+
+The smoothing is a reflect-mode Gaussian filter over a field's channel, row
+and column axes, in float64 and in a fixed order of operations, because every
+trained preset and committed artifact starts from these bytes
+(tests/nn/test_data_train.py pins three datasets' hashes):
+
+- radius ``int(4*sigma + 0.5)``; weights ``exp(-0.5/sigma**2 * x**2)`` for
+  ``x = -radius..radius``, divided by their sum;
+- edges extended by symmetric reflection (``... b a | a b ... y z | z y
+  ...``), repeated when the radius is longer than the axis;
+- one axis after another, in axis order, each output value is its centre
+  value times the centre weight, then ``+= (left + right) * weight`` for
+  each pair of taps, from the farthest pair inward.
+
+Synthesis draws its random numbers in a fixed order (each class's prototype
+field; then per split all labels, then per sample its deformation field,
+shift and noise) and does the arithmetic for blocks of samples at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["Dataset", "synthetic_classification", "cifar10_like", "imagenet_like"]
 
@@ -58,15 +75,62 @@ class Dataset:
         return self.x_test[idx], self.y_test[idx]
 
 
-def _smooth_field(
-    shape: tuple[int, ...], sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    field = rng.normal(0.0, 1.0, size=shape)
-    field = ndimage.gaussian_filter(field, sigma=sigma)
-    std = field.std()
-    if std > 0:
-        field /= std
-    return field
+# float64 values filtered per block: enough samples to amortize numpy's
+# per-call overhead on small images, few enough that a block's passes stay
+# in cache on large ones.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _gaussian_filter(fields: np.ndarray, sigma: float) -> np.ndarray:
+    """Filter each float64 ``fields[i]`` over all of its axes, as the
+    module docstring specifies.
+
+    Each pass first moves the axis it filters to the front, so every tap
+    is one contiguous slab; after the last pass the axes are back in
+    order.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = weights / weights.sum()
+    out = np.moveaxis(fields, 0, -1)
+    for _ in range(1, out.ndim):
+        length = out.shape[0]
+        padded = np.pad(
+            out, [(radius, radius)] + [(0, 0)] * (out.ndim - 1),
+            mode="symmetric",
+        )
+        out = padded[radius:radius + length] * weights[radius]
+        pair = np.empty_like(out)
+        for k in range(radius, 0, -1):
+            np.add(padded[radius - k:radius - k + length],
+                   padded[radius + k:radius + k + length], out=pair)
+            pair *= weights[radius + k]
+            out += pair
+        out = np.moveaxis(out, 0, -1)
+    return np.ascontiguousarray(out)
+
+
+def _smooth_fields(fields: np.ndarray, sigma: float) -> np.ndarray:
+    """Filter each field, then divide it by its own std (a field with
+    std 0 stays as it is)."""
+    smooth = _gaussian_filter(fields, sigma)
+    std = smooth.std(axis=tuple(range(1, smooth.ndim)), keepdims=True)
+    np.divide(smooth, std, out=smooth, where=std > 0)
+    return smooth
+
+
+def _roll_each(images: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``np.roll(images[i], shifts[i], axis=(1, 2))`` for every sample."""
+    n, c, h, w = images.shape
+    rows = (np.arange(h) - shifts[:, :1]) % h
+    cols = (np.arange(w) - shifts[:, 1:]) % w
+    return images[
+        np.arange(n)[:, None, None, None],
+        np.arange(c)[:, None, None],
+        rows[:, None, :, None],
+        cols[:, None, None, :],
+    ]
 
 
 def synthetic_classification(
@@ -86,27 +150,33 @@ def synthetic_classification(
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     # Keep the augmentation shift proportionate on tiny images.
     max_shift = min(max_shift, image_hw // 8)
+    shape = (channels, image_hw, image_hw)
     rng = np.random.default_rng(seed)
-    prototypes = np.stack(
-        [
-            _smooth_field((channels, image_hw, image_hw), sigma=2.0, rng=rng)
-            for _ in range(num_classes)
-        ]
-    )
+    prototypes = _smooth_fields(np.stack([
+        rng.normal(0.0, 1.0, size=shape) for _ in range(num_classes)
+    ]), sigma=2.0)
+    block = max(1, _BLOCK_ELEMENTS // math.prod(shape))
 
     def sample(n: int, sample_rng: np.random.Generator):
         labels = sample_rng.integers(0, num_classes, size=n)
-        images = np.empty((n, channels, image_hw, image_hw), dtype=np.float32)
-        for i, label in enumerate(labels):
-            image = prototypes[label].copy()
-            image += deform * _smooth_field(
-                (channels, image_hw, image_hw), sigma=1.5, rng=sample_rng
-            )
-            if max_shift > 0:
-                shift = sample_rng.integers(-max_shift, max_shift + 1, size=2)
-                image = np.roll(image, shift, axis=(1, 2))
-            image += noise * sample_rng.normal(0.0, 1.0, size=image.shape)
-            images[i] = image
+        images = np.empty((n, *shape), dtype=np.float32)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            fields = np.empty((stop - start, *shape))
+            shifts = np.zeros((stop - start, 2), dtype=np.int64)
+            noises = np.empty_like(fields)
+            for i in range(stop - start):
+                fields[i] = sample_rng.normal(0.0, 1.0, size=shape)
+                if max_shift > 0:
+                    shifts[i] = sample_rng.integers(
+                        -max_shift, max_shift + 1, size=2
+                    )
+                noises[i] = sample_rng.normal(0.0, 1.0, size=shape)
+            batch = prototypes[labels[start:stop]]
+            batch += deform * _smooth_fields(fields, sigma=1.5)
+            batch = _roll_each(batch, shifts)
+            batch += noise * noises
+            images[start:stop] = batch
         return images, labels.astype(np.int64)
 
     x_train, y_train = sample(n_train, np.random.default_rng(seed + 1))

@@ -60,8 +60,10 @@ class _BufferPool:
     """Free-list of scratch arrays keyed by ``(shape, dtype)``.
 
     Every convolution needs multi-megabyte scratch arrays: the im2col
-    columns, the zero-slotted copies its gathers read from, and in the
-    backward the column gradient, col2im's tap buffer and its output.
+    columns and the zero-slotted input copy its gather reads from, and in
+    the backward the zero-slotted column gradient (the matmul writes it
+    in place for col2im to gather from), col2im's tap buffer and its
+    output.
     Page-faulting fresh ones in on each call would dominate the kernels'
     time.  The pool recycles them: ``acquire`` pops a previously
     released array (contents are garbage — callers must overwrite or
@@ -202,7 +204,7 @@ def im2col(
 
 
 def _col2im_into(
-    cols: np.ndarray,
+    src: np.ndarray,
     x_shape: tuple[int, int, int, int],
     kh: int,
     kw: int,
@@ -210,25 +212,25 @@ def _col2im_into(
     padding: int,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Fold columns into a caller-supplied contiguous ``x_shape`` buffer
-    (zeroed here).
+    """Fold zero-slotted columns into a caller-supplied contiguous
+    ``x_shape`` buffer (zeroed here).
 
-    Tap by tap in row-major ``(i, j)`` order, one gather picks that tap's
-    column entry for every pixel (zero where it has none) and one ``+=``
-    adds it.  These are the additions of a strided ``+=`` per tap into a
-    zeroed padded buffer, in the same order from the same ``+0.0``: a
-    sum that never held ``-0.0`` is unchanged by adding ``+0.0``.  One
-    tap at a time keeps a single tap buffer live, not ``kh*kw`` of them.
+    ``src`` is ``(n, c*kh*kw*oh*ow + 1)``: each sample's columns, then
+    the zero slot.  Tap by tap in row-major ``(i, j)`` order, one gather
+    picks that tap's column entry for every pixel (the zero where it has
+    none) and one ``+=`` adds it.  These are the additions of a strided
+    ``+=`` per tap into a zeroed padded buffer, in the same order from
+    the same ``+0.0``: a sum that never held ``-0.0`` is unchanged by
+    adding ``+0.0``.  One tap at a time keeps a single tap buffer live,
+    not ``kh*kw`` of them.
     """
     n, c, h, w = x_shape
-    src = _zero_slotted(cols)
-    tap = _POOL.acquire((n, c * h * w), cols.dtype)
+    tap = _POOL.acquire((n, c * h * w), src.dtype)
     acc = out.reshape(n, c * h * w)
     acc.fill(0)
     for index in _fold_index(c, h, w, kh, kw, stride, padding):
         np.take(src, index, axis=1, out=tap, mode="clip")
         acc += tap
-    _POOL.release(src)
     _POOL.release(tap)
     return out
 
@@ -242,8 +244,11 @@ def col2im(
     padding: int,
 ) -> np.ndarray:
     """Fold patch columns back to an input-shaped array (adjoint of im2col)."""
+    src = _zero_slotted(cols)
     out = np.empty(x_shape, dtype=cols.dtype)
-    return _col2im_into(cols, x_shape, kh, kw, stride, padding, out)
+    _col2im_into(src, x_shape, kh, kw, stride, padding, out)
+    _POOL.release(src)
+    return out
 
 
 # ---------------------------------------------------------------------- #
@@ -306,13 +311,20 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             Tensor._accumulate(bias, grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_cols = _POOL.acquire(pass_cols.shape, grad.dtype)
-            np.matmul(w2d.T, grad2d, out=grad_cols)       # (N, CKK, L)
+            # The column gradient goes straight into col2im's zero-slotted
+            # gather source: (N, CKK, L) columns, then the zero slot.
+            grad_src = _POOL.acquire(
+                (n, c * kh * kw * oh * ow + 1), grad.dtype
+            )
+            grad_src[:, -1] = 0
+            np.matmul(w2d.T, grad2d, out=grad_src[:, :-1].reshape(
+                pass_cols.shape, copy=False
+            ))
             grad_x = _POOL.acquire(x_shape, grad.dtype)
             Tensor._accumulate(x, _col2im_into(
-                grad_cols, x_shape, kh, kw, stride, padding, grad_x
+                grad_src, x_shape, kh, kw, stride, padding, grad_x
             ))
-            _POOL.release(grad_cols)
+            _POOL.release(grad_src)
             _POOL.release(grad_x)
 
     return Tensor._make(out, parents, backward_fn)

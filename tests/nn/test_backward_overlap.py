@@ -78,13 +78,18 @@ def _conv2d_inline(x, weight, bias=None, stride=1, padding=0):
         if bias is not None and bias.requires_grad:
             Tensor._accumulate(bias, grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_cols = F._POOL.acquire(cols.shape, grad.dtype)
-            np.matmul(w2d.T, grad2d, out=grad_cols)
+            grad_src = F._POOL.acquire(
+                (n, c * kh * kw * oh * ow + 1), grad.dtype
+            )
+            grad_src[:, -1] = 0
+            np.matmul(w2d.T, grad2d, out=grad_src[:, :-1].reshape(
+                cols.shape, copy=False
+            ))
             grad_x = F._POOL.acquire(x.data.shape, grad.dtype)
             Tensor._accumulate(x, F._col2im_into(
-                grad_cols, x.data.shape, kh, kw, stride, padding, grad_x
+                grad_src, x.data.shape, kh, kw, stride, padding, grad_x
             ))
-            F._POOL.release(grad_cols)
+            F._POOL.release(grad_src)
             F._POOL.release(grad_x)
         F._POOL.release(cols6)
         cols = None
