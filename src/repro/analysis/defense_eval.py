@@ -52,14 +52,16 @@ def expand_bits_to_rows(
     """
     if weights_per_row < 1:
         raise ValueError("weights_per_row must be >= 1")
+    rows = {(location.layer, location.index // weights_per_row)
+            for location in bits}
     expanded: set[BitLocation] = set()
-    for location in bits:
-        layer = qmodel.layer(location.layer)
-        start = (location.index // weights_per_row) * weights_per_row
-        end = min(start + weights_per_row, layer.num_weights)
-        for index in range(start, end):
-            for bit in range(8):
-                expanded.add(BitLocation(location.layer, index, bit))
+    for layer, row in rows:
+        start = row * weights_per_row
+        end = min(start + weights_per_row, qmodel.layer(layer).num_weights)
+        expanded.update(
+            BitLocation(layer, index, bit)
+            for index in range(start, end) for bit in range(8)
+        )
     return expanded
 
 

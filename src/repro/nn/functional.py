@@ -8,14 +8,15 @@ reproduction; cross-entropy fuses log-softmax and NLL with the standard
 
 The kernels are vectorized: im2col and col2im are ``np.take`` gathers
 through flat index tables cached per conv geometry, scratch buffers are
-pooled across calls, matmuls run in place/``out=``, eval-mode batch norm
-is one fused node with cached constants, and backward preparation is
-lazy (pooling argmax masks are only built when a gradient can actually
-flow).  They only change data movement and fuse elementwise chains in
-the exact evaluation order of the per-op graph, never the floating-point
-reduction order, so outputs and gradients are byte-identical to the
-straightforward loop/per-op formulation (the parity tests keep such a
-reference).
+pooled across calls, matmuls run in place/``out=``, the weight gradient's
+short dots are einsum's own additions done as whole-array ops, eval-mode
+batch norm is one fused node with cached constants, and backward
+preparation is lazy (pooling argmax masks are only built when a gradient
+can actually flow).  They only change data movement and fuse elementwise
+chains in the exact evaluation order of the per-op graph, never the
+floating-point reduction order, so outputs and gradients are
+byte-identical to the straightforward loop/per-op formulation (the
+parity tests keep such a reference).
 """
 
 from __future__ import annotations
@@ -255,6 +256,64 @@ def col2im(
 # Convolution / linear
 # ---------------------------------------------------------------------- #
 
+# Products per block of samples in :func:`_weight_grad`'s short-dot
+# kernel: its scratch stays under 1.5 MiB per call whatever the batch
+# size, unless one sample's products alone need more.
+_SHORT_DOT_BLOCK = 1 << 18
+
+
+def _weight_grad(grad2d: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``np.einsum("nfl,nkl->fk", grad2d, cols)``, bit for bit.
+
+    einsum makes one inner-loop call per ``(n, f, k)``, a dot of length
+    ``l = oh*ow``; for ``l`` of 2 to 4 the call costs more than the dot.
+    There this kernel does einsum's own arithmetic as whole-array ops.
+    numpy 2.4's einsum loads such a dot as one zero-padded 128-bit
+    vector of float32 products, sums its four lanes as
+    ``(p0+p1)+(p2+p3)``, and adds the dots into ``out[f, k]`` in sample
+    order from ``+0.0``.  Here each block of samples writes its dots
+    below the running sum, and one ``np.add.reduce`` over axis 0, which
+    numpy does row by row, adds them in that order.  einsum's zero lanes
+    can only turn a ``-0.0`` dot into ``+0.0``, which a sum that starts
+    at ``+0.0`` never tells apart.
+
+    Every other input keeps einsum: longer dots, where its SIMD loop
+    wins; ``l == 1``, where its loop runs along ``k``, not per dot;
+    ``f == k == 1``, where numpy merges the sample and pixel axes into
+    one long dot; other dtypes; and non-contiguous operands, whose
+    strides set einsum's loop order.
+    """
+    n, f, l = grad2d.shape
+    k = cols.shape[1]
+    if not (
+        2 <= l <= 4 and f * k > 1
+        and grad2d.dtype == cols.dtype == np.float32
+        and grad2d.flags.c_contiguous and cols.flags.c_contiguous
+    ):
+        return np.einsum("nfl,nkl->fk", grad2d, cols)
+    g = grad2d.transpose(0, 2, 1)[:, :, :, None]     # (n, l, f, 1)
+    m = max(1, min(n, _SHORT_DOT_BLOCK // (l * f * k)))
+    lanes = np.empty((m, l, 1, k), np.float32)      # columns, lane-major
+    products = np.empty((m, l, f, k), np.float32)
+    sums = np.empty((m + 1, f, k), np.float32)      # running sum, then dots
+    out = np.zeros((f, k), np.float32)
+    # einsum reports no floating-point error; neither does its stand-in.
+    with np.errstate(all="ignore"):
+        for start in range(0, n, m):
+            b = min(m, n - start)
+            c, p, dots = lanes[:b], products[:b], sums[1:b + 1]
+            np.copyto(c[:, :, 0], cols[start:start + b].transpose(0, 2, 1))
+            np.multiply(g[start:start + b], c, out=p)
+            np.add(p[:, 0], p[:, 1], out=dots)
+            if l == 4:
+                np.add(p[:, 2], p[:, 3], out=p[:, 2])
+            if l > 2:
+                np.add(dots, p[:, 2], out=dots)
+            sums[0] = out
+            np.add.reduce(sums[:b + 1], axis=0, out=out)
+    return out
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -303,9 +362,7 @@ def conv2d(
         # the result is collected.
         Tensor._accumulate_on_worker(
             weight,
-            lambda: np.einsum(
-                "nfl,nkl->fk", grad2d, pass_cols
-            ).reshape(weight.shape),
+            lambda: _weight_grad(grad2d, pass_cols).reshape(weight.shape),
             lambda: _POOL.release(pass_cols6),
         )
         if bias is not None and bias.requires_grad:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     AccuracyCurve,
@@ -45,6 +47,41 @@ class TestExpandBitsToRows:
         expanded = expand_bits_to_rows(fresh_quantized, bits,
                                        weights_per_row=8)
         assert bits <= expanded
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        weights_per_row=st.one_of(st.just(1), st.integers(2, 1000)),
+        picks=st.lists(
+            st.tuples(st.integers(0, 3), st.floats(0, 1), st.integers(0, 7)),
+            max_size=12,
+        ),
+    )
+    def test_equals_per_bit_expansion(
+        self, fresh_quantized, weights_per_row, picks
+    ):
+        """One expansion per secured row gives the set of expanding every
+        bit on its own: for bits sharing a row, bits in a layer's short
+        last row, one weight per row, and rows longer than the layer (the
+        first and last layers hold 432 and 640 weights)."""
+        sizes = [layer.num_weights for layer in fresh_quantized.layers]
+        bits = {
+            BitLocation(layer, min(int(at * sizes[layer]), sizes[layer] - 1),
+                        bit)
+            for layer, at, bit in picks
+        }
+        expected = set()
+        for location in bits:
+            start = location.index // weights_per_row * weights_per_row
+            end = min(start + weights_per_row, sizes[location.layer])
+            for index in range(start, end):
+                for bit in range(8):
+                    expected.add(BitLocation(location.layer, index, bit))
+        assert expand_bits_to_rows(
+            fresh_quantized, bits, weights_per_row=weights_per_row
+        ) == expected
 
 
 class TestReportFormatting:

@@ -5,14 +5,16 @@ same forward values, same loss, same gradients — because they only
 change data movement and graph fusion, never floating-point evaluation
 order.  That formulation lives here as small test-local oracles: a loop
 im2col and a loop col2im, a reference ``conv2d`` built on them (fresh
-buffers), the per-op Tensor chain for eval batch norm, and a loop
-max-pool.  :func:`_reference_and_library` patches the oracles into
-``repro.nn.functional`` so whole models run on them.
+buffers, the weight gradient by ``np.einsum``), the per-op Tensor chain
+for eval batch norm, and a loop max-pool.  :func:`_reference_and_library`
+patches the oracles into ``repro.nn.functional`` so whole models run on
+them.  The weight gradient's short-dot kernel is checked against
+``np.einsum`` directly.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (
@@ -403,6 +405,93 @@ class TestGatherIndex:
                 F._fold_index.cache_info().misses) == misses
         assert F._unfold_index(*geometry) is unfold
         assert F._fold_index(*geometry) is fold
+
+
+def _weight_grad_operands(n, f, k, l, dtype, special, strided, rng):
+    """Random ``(grad2d, cols)`` of a conv's weight gradient.
+
+    Every case holds ``-0.0`` and subnormals; ``special`` adds ``+-inf``
+    or NaN, never both.  Which NaN an addition of two different NaNs
+    returns is not fixed by IEEE 754, and numpy's float add picks by an
+    element's place in its vector loop.  Every sample's dots add into the
+    same ``(f, k)`` entries, so a case holds one NaN payload at most: its
+    NaN entries', or the one an invalid product of an infinity makes.
+    ``strided`` hands both operands over as every other element of a
+    wider array.
+    """
+    tiny = np.finfo(dtype).smallest_subnormal
+    operands = []
+    for rows in (f, k):
+        a = rng.standard_normal((n, rows, l * (1 + strided)))
+        a = (a * 10.0 ** rng.uniform(-4, 4)).astype(dtype)
+        a[rng.random(a.shape) < 0.1] = -0.0
+        a[rng.random(a.shape) < 0.05] = tiny * rng.integers(1, 100)
+        if special != "none":
+            hit = rng.random(a.shape) < 0.05
+            a[hit] = (np.nan if special == "nan"
+                      else rng.choice([np.inf, -np.inf], size=hit.sum()))
+        operands.append(a[:, :, ::2] if strided else a)
+    return operands
+
+
+class TestWeightGrad:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40), f=st.integers(1, 12), k=st.integers(1, 40),
+        l=st.one_of(st.integers(2, 4), st.integers(1, 8)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        special=st.sampled_from(["none", "inf", "nan"]),
+        strided=st.booleans(), block=st.sampled_from([1, 1000, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Each mutation of the kernel fails one of these: a dot summed
+    # ((p0+p1)+p2)+p3, blocks reduced alone and then added, and a kernel
+    # that takes strided operands or f = k = 1.
+    @example(n=9, f=5, k=7, l=4, dtype=np.float32, special="none",
+             strided=False, block=None, seed=1)
+    @example(n=20, f=5, k=7, l=4, dtype=np.float32, special="none",
+             strided=False, block=1000, seed=2)
+    @example(n=9, f=5, k=7, l=4, dtype=np.float32, special="none",
+             strided=True, block=None, seed=3)
+    @example(n=33, f=1, k=1, l=4, dtype=np.float32, special="none",
+             strided=False, block=None, seed=4)
+    def test_equals_einsum_byte_for_byte(
+        self, n, f, k, l, dtype, special, strided, block, seed
+    ):
+        """``_weight_grad`` is ``einsum("nfl,nkl->fk")`` on both sides of
+        its selection (``oh*ow`` of 2 to 4 on contiguous float32 with
+        ``f*k > 1``, einsum otherwise), for blocks of one sample, of a
+        few, and of the default size."""
+        grad2d, cols = _weight_grad_operands(
+            n, f, k, l, dtype, special, strided, np.random.default_rng(seed)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(F, "_SHORT_DOT_BLOCK", block)
+            actual = F._weight_grad(grad2d, cols)
+        expected = np.einsum("nfl,nkl->fk", grad2d, cols)
+        assert actual.dtype == expected.dtype
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+
+    def test_resnet20_stage3_runs_without_einsum(self, monkeypatch):
+        """A benchmark-shaped ResNet-20 pass (8 px, batch 96) calls einsum
+        for the 14 convs with ``oh*ow`` of 64 or 16 only: the 7 stage-3
+        convs (``oh*ow = 4``) run the short-dot kernel."""
+        calls = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            calls.append(operands[0].shape)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(F.np, "einsum", spy)
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((96, 3, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 10, size=96)
+        loss_and_grads(make_resnet20(width_scale=0.5, seed=0), x, y)
+        assert len(calls) == 14
+        assert all(shape[2] > 4 for shape in calls)
 
 
 class TestScratchPool:
