@@ -471,16 +471,19 @@ class BatchNormEvalCache:
     ``mean.reshape(1, C, 1, 1)`` and ``1/sqrt(var + eps)`` are loop
     invariants across every inference/attack forward.  The cache holds
     them as plain ndarrays — they can never require grad or allocate
-    grad buffers — and self-invalidates by comparing snapshots
-    of the running buffers, so in-place updates (training forwards,
-    ``load_state_dict``) are picked up on the next eval forward.
+    grad buffers — and self-invalidates by comparing the bytes of the
+    running buffers and the value of ``eps`` with those it was built
+    from, so in-place updates (training forwards, ``load_state_dict``)
+    are picked up on the next eval forward.  Bytes, not values: ``-0.0``
+    and ``+0.0`` compare equal but give different outputs.  The buffers
+    are only ever written in place, so their dtype and shape are fixed.
     """
 
-    __slots__ = ("_mean_src", "_var_src", "_eps", "mean4", "inv_std4")
+    __slots__ = ("_mean_bytes", "_var_bytes", "_eps", "mean4", "inv_std4")
 
     def __init__(self):
-        self._mean_src: np.ndarray | None = None
-        self._var_src: np.ndarray | None = None
+        self._mean_bytes: bytes | None = None
+        self._var_bytes: bytes | None = None
         self._eps: float | None = None
         self.mean4: np.ndarray | None = None
         self.inv_std4: np.ndarray | None = None
@@ -488,21 +491,20 @@ class BatchNormEvalCache:
     def constants(
         self, running_mean: np.ndarray, running_var: np.ndarray, eps: float
     ) -> tuple[np.ndarray, np.ndarray]:
+        mean_bytes = running_mean.tobytes()
+        var_bytes = running_var.tobytes()
         if (
-            self._mean_src is not None
-            and self._eps == eps
-            and np.array_equal(self._mean_src, running_mean)
-            and np.array_equal(self._var_src, running_var)
+            mean_bytes == self._mean_bytes
+            and var_bytes == self._var_bytes
+            and eps == self._eps
         ):
             return self.mean4, self.inv_std4
         c = running_mean.shape[0]
-        self._mean_src = running_mean.copy()
-        self._var_src = running_var.copy()
-        self._eps = eps
-        self.mean4 = self._mean_src.reshape(1, c, 1, 1)
-        self.inv_std4 = 1.0 / np.sqrt(
-            self._var_src.reshape(1, c, 1, 1) + eps
+        self._mean_bytes, self._var_bytes, self._eps = (
+            mean_bytes, var_bytes, eps
         )
+        self.mean4 = running_mean.reshape(1, c, 1, 1).copy()
+        self.inv_std4 = 1.0 / np.sqrt(running_var.reshape(1, c, 1, 1) + eps)
         return self.mean4, self.inv_std4
 
 

@@ -117,7 +117,16 @@ class _LeafQueue:
             if finish is not None:
                 grad = grad.result()
                 finish()
-            _add_grad(leaf, grad)
+            if (
+                leaf.grad is None
+                and grad.dtype == leaf.data.dtype
+                and grad.shape == leaf.data.shape
+            ):
+                # Every entry is owned: _accumulate queued a copy, and a
+                # worker's contraction returns a fresh array.
+                leaf.grad = grad
+            else:
+                _add_grad(leaf, grad)
 
 
 class Tensor:

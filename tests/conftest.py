@@ -15,6 +15,13 @@ from repro.nn import (
     cifar10_like,
     fit,
 )
+from repro.nn import train
+
+
+@pytest.fixture(autouse=True)
+def _fresh_accuracy_memo():
+    """Each test starts with no memoized accuracies, whichever ran before."""
+    train._ACCURACIES.clear()
 
 
 def make_tiny_model(seed: int = 0) -> Sequential:

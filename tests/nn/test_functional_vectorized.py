@@ -624,6 +624,27 @@ class TestBatchNormEvalCache:
         assert bn._eval_cache.inv_std4 is not stale
         assert not np.allclose(before, after)
 
+    def test_cache_tells_signed_zeros_apart(self):
+        """``-0.0 == +0.0``, but ``x - mean`` differs between them at
+        ``x = -0.0``: a cached layer must match a fresh one byte for
+        byte."""
+        x = Tensor(np.full((1, 1, 1, 1), -0.0, dtype=np.float32))
+
+        def layer():
+            bn = BatchNorm2d(1)
+            bn.beta.data[:] = -0.0
+            return bn.eval()
+
+        cached = layer()
+        with no_grad():
+            cached(x)
+            cached.running_mean[...] = -0.0
+            fresh = layer()
+            fresh.running_mean[...] = -0.0
+            expected = fresh(x).data
+            assert not np.signbit(expected).any()
+            assert cached(x).data.tobytes() == expected.tobytes()
+
     def test_eval_forward_allocates_no_grad_buffers(self):
         """The fused eval node's only grad-capable parents are the input
         and the affine parameters — no throwaway constant joins the
