@@ -1,11 +1,12 @@
 """Attacker registry: named :class:`Attacker` factories (``@attacker``).
 
-The exact counterpart of the defense registry
-(:mod:`repro.defenses.registry`): an :class:`AttackerSpec` describes one
-registered attacker — a zero-argument factory returning a fresh
+An :class:`AttackerSpec` describes one registered attacker — a
+zero-argument factory returning a fresh
 :class:`repro.attacks.protocol.Attacker` — and the ``@attacker``
 decorator registers it by name.  The ``tournament-matrix`` scenario and
-``repro list --kind attackers`` resolve attackers here.
+``repro list --kind attackers`` resolve attackers here.  The lookup
+itself is the :class:`repro.utils.registry.Registry` the defense
+registry (:mod:`repro.defenses.registry`) uses too.
 
 ``REPRO_ATTACKER_MODULES`` (comma-separated module names) names extra
 modules to import for their registration side effects, so shard worker
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.attacks.protocol import Attacker
+from repro.utils.registry import Registry
 
 __all__ = [
     "AttackerSpec",
@@ -29,8 +31,6 @@ __all__ = [
     "iter_attackers",
     "build_attacker",
 ]
-
-_REGISTRY: dict[str, "AttackerSpec"] = {}
 
 
 @dataclass
@@ -63,17 +63,20 @@ class AttackerSpec:
         return self.build()
 
 
+_REGISTRY: Registry[AttackerSpec] = Registry(
+    "attacker", builtins="repro.attacks.builtin",
+    modules_env="REPRO_ATTACKER_MODULES",
+)
+
+
 def register_attacker(spec: AttackerSpec) -> AttackerSpec:
     """Add ``spec`` to the registry; duplicate names are an error."""
-    if spec.name in _REGISTRY:
-        raise ValueError(f"attacker {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
+    return _REGISTRY.register(spec)
 
 
 def unregister_attacker(name: str) -> None:
     """Remove an attacker (tests registering throwaway attackers)."""
-    _REGISTRY.pop(name, None)
+    _REGISTRY.unregister(name)
 
 
 def attacker(
@@ -99,44 +102,19 @@ def attacker(
 
 def get_attacker(name: str) -> AttackerSpec:
     """Resolve an attacker by name; raise with the catalogue on miss."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(
-            f"unknown attacker {name!r}; registered attackers: {known}"
-        ) from None
+    return _REGISTRY.get(name)
 
 
 def attacker_names() -> list[str]:
     """Sorted names of all registered attackers."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def iter_attackers(kind: str | None = None) -> Iterator[AttackerSpec]:
     """Iterate attackers in name order, optionally filtered by kind."""
-    _ensure_builtins()
-    for name in sorted(_REGISTRY):
-        spec = _REGISTRY[name]
-        if kind is None or spec.kind == kind:
-            yield spec
+    return _REGISTRY.iter(kind)
 
 
 def build_attacker(name: str) -> Attacker:
     """Resolve + instantiate in one call (the scenario entry point)."""
     return get_attacker(name).build()
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in attacker registrations exactly once."""
-    import importlib
-
-    import repro.attacks.builtin  # noqa: F401  (registers on import)
-
-    from repro.utils.env import env_str
-
-    extra = env_str("REPRO_ATTACKER_MODULES", "")
-    for module in filter(None, (m.strip() for m in extra.split(","))):
-        importlib.import_module(module)

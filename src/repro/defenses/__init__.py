@@ -3,7 +3,6 @@ registry-backed ``Defense`` protocol (``@defense``)."""
 
 from repro.defenses import software
 from repro.defenses.base import DefenseStats, HookedDefense
-from repro.defenses.behavioral import BEHAVIORAL_DEFENSES, BEHAVIORAL_PARAMS
 from repro.defenses.ppim import make_ppim
 from repro.defenses.protocol import (
     BehavioralDefense,
@@ -14,7 +13,6 @@ from repro.defenses.protocol import (
     ReconstructionDefense,
     SecuredBitsDefense,
     SwapDefense,
-    UndefendedDefense,
 )
 from repro.defenses.radar import RadarDefense, RadarExecutor
 from repro.defenses.registry import (
@@ -43,8 +41,6 @@ __all__ = [
     "software",
     "DefenseStats",
     "HookedDefense",
-    "BEHAVIORAL_DEFENSES",
-    "BEHAVIORAL_PARAMS",
     "Defense",
     "DefenseContext",
     "DefenseSpec",
@@ -54,7 +50,6 @@ __all__ = [
     "ReconstructionDefense",
     "SecuredBitsDefense",
     "SwapDefense",
-    "UndefendedDefense",
     "RadarDefense",
     "RadarExecutor",
     "build_defense",

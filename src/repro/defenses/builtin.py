@@ -10,14 +10,13 @@ capacity), and RADAR.  Builders receive a
   runs its hooked swap defender and the swap/counter baselines attach
   their controller-hooked hardware model (detached again by ``close()``);
 * without one DNN-Defender is its logical secured-bit set and the
-  baselines fall back to the behavioural block/deflect model the
-  ``table3`` scenario calibrated, which is the tournament's logical
-  attack path.
+  baselines fall back to the behavioural block/deflect model of
+  :data:`BEHAVIORAL_PARAMS`, which is the tournament's logical attack
+  path.
 """
 
 from __future__ import annotations
 
-from repro.defenses.behavioral import BEHAVIORAL_PARAMS
 from repro.defenses.protocol import (
     BehavioralDefense,
     Defense,
@@ -27,12 +26,27 @@ from repro.defenses.protocol import (
     ReconstructionDefense,
     SecuredBitsDefense,
     SwapDefense,
-    UndefendedDefense,
 )
 from repro.defenses.radar import RadarDefense
 from repro.defenses.registry import defense
 
 __all__ = []  # registration side effects only
+
+# (block_prob, collateral_prob) of the behavioural model on the logical
+# attack path (:class:`repro.attacks.executor.BehavioralDefenseExecutor`):
+# an intended flip is blocked with ``block_prob`` (the defense relocated
+# the aggressor or victim in time), and a blocked hammer session still
+# flips a random bit with ``collateral_prob`` (the activations land next
+# to relocated, unrelated data).  P-PIM's per-row counters refresh the
+# victim before T_RH: a high block rate and no deflection.  Changing a
+# value changes the bytes of every artifact with a behavioural row
+# (``table3``, the tournament, perfbench's digests).
+BEHAVIORAL_PARAMS: dict[str, tuple[float, float]] = {
+    "RRS": (0.92, 0.6),
+    "SRS": (0.92, 0.55),
+    "SHADOW": (0.97, 0.3),
+    "P-PIM": (0.95, 0.0),
+}
 
 
 def _require_dataset(context: DefenseContext, name: str):
@@ -57,7 +71,7 @@ def _behavioral(context: DefenseContext, name: str, hardware_factory) -> Defense
 @defense("none", title="undefended baseline (every flip lands)",
          kind="software", cost=1.0)
 def _build_none(context: DefenseContext) -> Defense:
-    return UndefendedDefense(context.qmodel)
+    return ModelTransformDefense(context.qmodel, "none")
 
 
 @defense("dnn-defender",

@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # imported lazily to keep the defense layer light
 __all__ = [
     "DefenseContext",
     "Defense",
-    "UndefendedDefense",
     "SecuredBitsDefense",
     "SwapDefense",
     "BehavioralDefense",
@@ -168,25 +167,6 @@ class Defense:
         self.close()
 
 
-class UndefendedDefense(Defense):
-    """``none``: every requested flip lands."""
-
-    name = "none"
-
-    def __init__(self, qmodel: "QuantizedModel"):
-        super().__init__(qmodel)
-        from repro.attacks.executor import SoftwareFlipExecutor
-
-        self._executor = SoftwareFlipExecutor(qmodel)
-
-    def executor(self):
-        return self._executor
-
-    def finalize(self) -> DefenseStats:
-        self.stats.notes["landed"] = self._executor.flips_performed
-        return self.stats
-
-
 class SecuredBitsDefense(Defense):
     """Secured-bit-set defense (DNN-Defender's logical guarantee).
 
@@ -300,7 +280,8 @@ class ModelTransformDefense(Defense):
     before deployment; at attack time every flip lands (software
     executor) — the hardened weight distribution is what limits the
     damage.  ``transform_notes`` records what the build did (weights
-    binarized, epochs of fine-tune, capacity factor …).
+    binarized, epochs of fine-tune, capacity factor …).  The undefended
+    baseline ``none`` is the identity transform, with no notes.
     """
 
     def __init__(

@@ -1,12 +1,13 @@
 """Defense registry: named builders behind the ``Defense`` protocol.
 
-Mirrors the scenario-registry idiom (`repro.experiments.registry`): a
-:class:`DefenseSpec` describes one registered defense — a builder taking
-a :class:`repro.defenses.protocol.DefenseContext` and returning a live
-:class:`repro.defenses.protocol.Defense` — and the ``@defense`` decorator
-registers it by name.  Deployments (``DefendedDeployment.build(
-defense="radar")``), the ``tournament-matrix`` scenario, and ``repro
-list --kind defenses`` all resolve defenses here.
+A :class:`DefenseSpec` describes one registered defense — a builder
+taking a :class:`repro.defenses.protocol.DefenseContext` and returning a
+live :class:`repro.defenses.protocol.Defense` — and the ``@defense``
+decorator registers it by name.  Deployments (``DefendedDeployment.build(
+defense="radar")``), the ``table3`` and ``tournament-matrix`` scenarios,
+and ``repro list --kind defenses`` all resolve defenses here.  The
+lookup itself is the :class:`repro.utils.registry.Registry` the attacker
+registry uses too.
 
 ``REPRO_DEFENSE_MODULES`` (comma-separated module names) names extra
 modules to import for their registration side effects, so shard worker
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.defenses.protocol import Defense, DefenseContext
+from repro.utils.registry import Registry
 
 __all__ = [
     "DefenseSpec",
@@ -30,8 +32,6 @@ __all__ = [
     "iter_defenses",
     "build_defense",
 ]
-
-_REGISTRY: dict[str, "DefenseSpec"] = {}
 
 
 @dataclass
@@ -65,17 +65,20 @@ class DefenseSpec:
         return self.build(context)
 
 
+_REGISTRY: Registry[DefenseSpec] = Registry(
+    "defense", builtins="repro.defenses.builtin",
+    modules_env="REPRO_DEFENSE_MODULES",
+)
+
+
 def register_defense(spec: DefenseSpec) -> DefenseSpec:
     """Add ``spec`` to the registry; duplicate names are an error."""
-    if spec.name in _REGISTRY:
-        raise ValueError(f"defense {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
+    return _REGISTRY.register(spec)
 
 
 def unregister_defense(name: str) -> None:
     """Remove a defense (tests registering throwaway defenses)."""
-    _REGISTRY.pop(name, None)
+    _REGISTRY.unregister(name)
 
 
 def defense(
@@ -101,44 +104,19 @@ def defense(
 
 def get_defense(name: str) -> DefenseSpec:
     """Resolve a defense by name; raise with the catalogue on miss."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(
-            f"unknown defense {name!r}; registered defenses: {known}"
-        ) from None
+    return _REGISTRY.get(name)
 
 
 def defense_names() -> list[str]:
     """Sorted names of all registered defenses."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    return _REGISTRY.names()
 
 
 def iter_defenses(kind: str | None = None) -> Iterator[DefenseSpec]:
     """Iterate defenses in name order, optionally filtered by kind."""
-    _ensure_builtins()
-    for name in sorted(_REGISTRY):
-        spec = _REGISTRY[name]
-        if kind is None or spec.kind == kind:
-            yield spec
+    return _REGISTRY.iter(kind)
 
 
 def build_defense(name: str, context: DefenseContext) -> Defense:
     """Resolve + build in one call (the deployment/scenario entry point)."""
     return get_defense(name).build(context)
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in defense registrations exactly once."""
-    import importlib
-
-    import repro.defenses.builtin  # noqa: F401  (registers on import)
-
-    from repro.utils.env import env_str
-
-    extra = env_str("REPRO_DEFENSE_MODULES", "")
-    for module in filter(None, (m.strip() for m in extra.split(","))):
-        importlib.import_module(module)

@@ -52,7 +52,7 @@ class Scenario:
     """One registered experiment.
 
     Attributes:
-        name: CLI-facing identifier (``fig8b``, ``sweep-defense-grid`` …).
+        name: CLI-facing identifier (``fig8b``, ``sweep-hammer-rate`` …).
         trial_fn: Runs one seeded trial; returns metrics + detail.
         title: One-line human description (shown by ``repro list``).
         source: Paper anchor, e.g. ``"Fig. 8(b)"`` or ``"Table 3"``.

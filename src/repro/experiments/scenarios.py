@@ -35,10 +35,8 @@ from repro.analysis import (
 from repro.analysis.defense_eval import expand_bits_to_rows
 from repro.analysis.report import to_json_list
 from repro.attacks import (
-    BehavioralDefenseExecutor,
     BfaConfig,
     LogicalDefenseExecutor,
-    SoftwareFlipExecutor,
     profile_vulnerable_bits,
     sample_random_bits,
     semi_white_box_attack,
@@ -66,18 +64,10 @@ from repro.dram import (
 )
 from repro.experiments.registry import scenario
 from repro.mapping import ProtectionPlan
-from repro.nn import QuantizedModel, SGD, Tensor, fit, make_resnet20
-from repro.nn import functional as F
+from repro.nn import QuantizedModel, fit, make_resnet20
 from repro.utils.tabulate import format_table
 
-__all__ = ["functional_latency_ms", "BEHAVIORAL_DEFENSES"]
-
-# Behavioural block/collateral probabilities of the competing swap/shuffle
-# defenses, shared by ``table3`` and ``sweep-defense-grid`` so the two
-# scenarios model RRS/SRS/SHADOW identically.  The table now lives with
-# the defense registry (``repro.defenses.behavioral``) and is re-exported
-# here unchanged for the scenarios and their callers.
-from repro.defenses.behavioral import BEHAVIORAL_DEFENSES  # noqa: E402
+__all__ = ["functional_latency_ms"]
 
 
 # ---------------------------------------------------------------------- #
@@ -543,25 +533,13 @@ def _table2_report(result):
 # Table 3: defense comparison on ResNet-20 / CIFAR-10-like
 # ---------------------------------------------------------------------- #
 
-def _finetune_binary(model, dataset, epochs=3, lr=0.01, seed=0):
-    """Short binarization-aware fine-tune, then bake the binary weights."""
+def _finetune_binary(model, dataset, seed):
+    """Two-epoch binarization-aware fine-tune, then bake the binary weights."""
     from repro.defenses.software import bake_binarization, enable_weight_binarization
 
     enable_weight_binarization(model)
-    rng = np.random.default_rng(seed)
-    optimizer = SGD(model.parameters(), lr=lr, momentum=0.9)
-    n = dataset.x_train.shape[0]
-    for _ in range(epochs):
-        model.train()
-        order = rng.permutation(n)
-        for start in range(0, n, 64):
-            idx = order[start:start + 64]
-            optimizer.zero_grad()
-            loss = F.cross_entropy(
-                model(Tensor(dataset.x_train[idx])), dataset.y_train[idx]
-            )
-            loss.backward()
-            optimizer.step()
+    fit(model, dataset, epochs=2, batch_size=64, lr=0.01, weight_decay=0.0,
+        seed=seed)
     bake_binarization(model)
     model.eval()
 
@@ -574,10 +552,16 @@ def _finetune_binary(model, dataset, epochs=3, lr=0.01, seed=0):
     tags=("paper", "attack", "heavy"),
 )
 def table3(ctx):
+    """Ten defenses against one seeded BFA each.
+
+    The baseline, weight-reconstruction, RRS, SRS, SHADOW and
+    DNN-Defender rows are built by the defense registry.  The
+    training-time rows stay here: they fine-tune the preset's float
+    weights (the registry's builders start from the quantized model) with
+    their own recipes.
+    """
     from repro.defenses.software import (
-        ReconstructingExecutor,
         SignActivation,
-        WeightReconstructionGuard,
         finetune_with_clustering,
         width_scale_for_capacity,
     )
@@ -591,11 +575,26 @@ def table3(ctx):
         exact_eval_top=4,
         seed=seed,
     )
-    rows = []
+    defense_params = {
+        "profile_rounds": 6,
+        "profile_iterations": 10,
+        "attack_batch": attack_kw["attack_batch"],
+    }
+
+    def registry_row(label: str, name: str):
+        context = DefenseContext(
+            qmodel=QuantizedModel(preset.fresh_model()), dataset=dataset,
+            seed=seed, params=defense_params, trial=ctx,
+            preset_name="resnet20_cifar",
+        )
+        with build_defense(name, context) as defense:
+            return evaluate_defense_row(
+                label, defense.qmodel, dataset, executor=defense.executor(),
+                **attack_kw,
+            )
 
     # 1. Undefended baseline.
-    qmodel = QuantizedModel(preset.fresh_model())
-    rows.append(evaluate_defense_row("baseline", qmodel, dataset, **attack_kw))
+    rows = [registry_row("baseline", "none")]
 
     # 2. Piece-wise clustering.
     model = preset.fresh_model()
@@ -609,7 +608,7 @@ def table3(ctx):
 
     # 3. Binary weights.
     model = preset.fresh_model()
-    _finetune_binary(model, dataset, epochs=2, seed=seed)
+    _finetune_binary(model, dataset, seed=seed)
     rows.append(
         evaluate_defense_row(
             "binary weight", QuantizedModel(model), dataset, **attack_kw
@@ -627,15 +626,7 @@ def table3(ctx):
     )
 
     # 5. Weight reconstruction.
-    qmodel = QuantizedModel(preset.fresh_model())
-    guard = WeightReconstructionGuard(qmodel, percentile=99.0)
-    executor = ReconstructingExecutor(SoftwareFlipExecutor(qmodel), guard)
-    rows.append(
-        evaluate_defense_row(
-            "weight reconstruction", qmodel, dataset, executor=executor,
-            **attack_kw,
-        )
-    )
+    rows.append(registry_row("weight reconstruction", "reconstruction"))
 
     # 6. RA-BNN-like (binary weights + binary activations).
     rabnn = make_resnet20(
@@ -643,36 +634,16 @@ def table3(ctx):
         activation_factory=SignActivation,
     )
     fit(rabnn, dataset, epochs=4, batch_size=64, lr=0.05, seed=seed)
-    _finetune_binary(rabnn, dataset, epochs=2, seed=seed)
+    _finetune_binary(rabnn, dataset, seed=seed)
     rows.append(
         evaluate_defense_row(
             "RA-BNN (binary w+a)", QuantizedModel(rabnn), dataset, **attack_kw
         )
     )
 
-    # 7-10. RRS / SRS / SHADOW behavioural models and DNN-Defender under
-    # the adaptive white-box attacker, built by the defense registry.
-    defense_params = {
-        "profile_rounds": 6,
-        "profile_iterations": 10,
-        "attack_batch": int(ctx.param("attack_batch", 96)),
-    }
-    for name in (*BEHAVIORAL_DEFENSES, "DNN-Defender"):
-        qmodel = QuantizedModel(preset.fresh_model())
-        defense = build_defense(
-            name.lower(),
-            DefenseContext(
-                qmodel=qmodel, dataset=dataset, seed=seed,
-                params=defense_params, trial=ctx,
-                preset_name="resnet20_cifar",
-            ),
-        )
-        rows.append(
-            evaluate_defense_row(
-                name, qmodel, dataset, executor=defense.executor(),
-                **attack_kw,
-            )
-        )
+    # 7-10. RRS / SRS / SHADOW behavioural models and DNN-Defender.
+    for label in ("RRS", "SRS", "SHADOW", "DNN-Defender"):
+        rows.append(registry_row(label, label.lower()))
 
     metrics = {}
     for row in rows:
@@ -958,107 +929,6 @@ def _semi_whitebox_report(result):
              f"{result.metric('defender_swaps'):.0f}"],
         ],
         title="Section 5.2 — semi-white-box BFA vs DNN-Defender (DRAM path)",
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Sweep: model x defense Monte-Carlo grid (beyond the paper's points)
-# ---------------------------------------------------------------------- #
-
-_SWEEP_DEFENSES = ("baseline", "dnn-defender", "RRS", "SRS", "SHADOW")
-
-
-@scenario(
-    "sweep-defense-grid",
-    title="Model x defense grid: post-attack accuracy Monte-Carlo",
-    source="extension of Table 3",
-    presets=("resnet20_cifar",),
-    tags=("sweep", "attack"),
-    default_trials=3,
-)
-def sweep_defense_grid(ctx):
-    """One Monte-Carlo sample of the defense grid.
-
-    Unlike ``table3`` (one calibrated run per defense at the paper's
-    seeds), every trial re-rolls the attack batch, the behavioural
-    defense outcomes, and the profiler, so aggregate means/CIs quantify
-    the *distribution* of post-attack accuracy per defense.
-    """
-    preset = ctx.preset(str(ctx.param("model", "resnet20_cifar")))
-    dataset = preset.dataset
-    seed = ctx.seed
-    attack_kw = dict(
-        max_iterations=int(ctx.param("max_iterations", 12)),
-        attack_batch=int(ctx.param("attack_batch", 96)),
-        exact_eval_top=4,
-        seed=seed,
-    )
-    metrics = {}
-    for index, name in enumerate(_SWEEP_DEFENSES):
-        qmodel = QuantizedModel(preset.fresh_model())
-        executor = None
-        if name == "dnn-defender":
-            executor = build_defense(
-                name,
-                DefenseContext(
-                    qmodel=qmodel, dataset=dataset, seed=seed,
-                    params={
-                        "profile_rounds": int(ctx.param("profile_rounds", 4)),
-                        "attack_batch": attack_kw["attack_batch"],
-                    },
-                    trial=ctx,
-                    preset_name=str(ctx.param("model", "resnet20_cifar")),
-                ),
-            ).executor()
-        elif name in BEHAVIORAL_DEFENSES:
-            # A stream per row: the registry's behavioural builders all
-            # draw stream 7, and this grid's artifacts use these streams.
-            block, collateral = BEHAVIORAL_DEFENSES[name]
-            executor = BehavioralDefenseExecutor(
-                qmodel, block_prob=block, collateral_prob=collateral,
-                rng=ctx.rng(stream=100 + index),
-            )
-        row = evaluate_defense_row(
-            name, qmodel, dataset, executor=executor, **attack_kw
-        )
-        metrics[f"clean[{name}]"] = row.clean_accuracy
-        metrics[f"post[{name}]"] = row.post_attack_accuracy
-        metrics[f"attempts[{name}]"] = float(row.bit_flips)
-    return {"metrics": metrics, "detail": {"defenses": list(_SWEEP_DEFENSES)}}
-
-
-@sweep_defense_grid.check
-def _sweep_defense_grid_check(result):
-    # On average the baseline collapses and DNN-Defender holds the line.
-    assert (
-        result.metric("post[dnn-defender]") >= result.metric("post[baseline]")
-    )
-    assert (
-        result.metric("post[dnn-defender]")
-        >= result.metric("clean[dnn-defender]") - 0.05
-    )
-
-
-@sweep_defense_grid.reporter
-def _sweep_defense_grid_report(result):
-    rows = []
-    for name in result.detail["defenses"]:
-        post = result.metrics[f"post[{name}]"]
-        rows.append(
-            [
-                name,
-                f"{result.metric(f'clean[{name}]') * 100:.2f}",
-                f"{post.mean * 100:.2f} ± {post.ci95 * 100:.2f}",
-                f"{result.metric(f'attempts[{name}]'):.1f}",
-            ]
-        )
-    return format_table(
-        ["defense", "clean acc (%)", "post-attack acc (%)", "attempts"],
-        rows,
-        title=(
-            f"Defense grid — {result.trials} trials, "
-            "mean ± 95% CI per defense"
-        ),
     )
 
 

@@ -51,12 +51,24 @@ def _str_grid(value, default: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def tournament_cells(params) -> list[tuple[str, str, str, int]]:
-    """The grid in trial order: (model, defense, attacker, budget)."""
+    """The grid in trial order: (model, defense, attacker, budget).
+
+    Raises:
+        ValueError: a roster axis names no entry (``--param defenses=``).
+    """
     get = params.get if hasattr(params, "get") else lambda k, d=None: d
     models = _str_grid(get("models"), _DEFAULT_MODELS)
     defenses = _str_grid(get("defenses"), _DEFAULT_DEFENSES)
     attackers = _str_grid(get("attackers"), _DEFAULT_ATTACKERS)
     budgets = _int_grid(get("budgets"), _DEFAULT_BUDGETS)
+    for axis, roster in (
+        ("models", models), ("defenses", defenses),
+        ("attackers", attackers), ("budgets", budgets),
+    ):
+        if not roster:
+            raise ValueError(
+                f"tournament-matrix: the {axis} roster is empty"
+            )
     return [
         (model, defense, attacker, budget)
         for model in models
@@ -183,6 +195,19 @@ def _tournament_check(result):
     if radar_smart:
         assert radar_smart["detections"] == 0
         assert radar_smart["recovered_weights"] == 0
+    # DNN-Defender holds the line where the same BFA budget collapses the
+    # undefended model.
+    for (model, defense, attacker, budget), row in rows.items():
+        undefended = rows.get((model, "none", attacker, budget))
+        if (defense, attacker) != ("dnn-defender", "bfa") or not undefended:
+            continue
+        floor = row["floor_accuracy"]
+        assert floor >= undefended["floor_accuracy"], (
+            model, budget, floor, undefended["floor_accuracy"]
+        )
+        assert floor >= row["clean_accuracy"] - 0.05, (
+            model, budget, floor, row["clean_accuracy"]
+        )
 
 
 @tournament_matrix.reporter

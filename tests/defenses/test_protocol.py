@@ -8,9 +8,9 @@ import pytest
 from repro.defenses.base import DefenseStats
 from repro.defenses.protocol import (
     DefenseContext,
+    ModelTransformDefense,
     ReconstructionDefense,
     SecuredBitsDefense,
-    UndefendedDefense,
 )
 from repro.defenses.radar import RadarDefense
 from repro.defenses.registry import (
@@ -107,7 +107,7 @@ class TestRegistry:
     def test_decorator_registers_and_builds(self, fresh_quantized):
         @defense("_test-noop", kind="software", cost=2.0)
         def _build(context):
-            return UndefendedDefense(context.qmodel)
+            return ModelTransformDefense(context.qmodel, "_test-noop")
 
         try:
             spec = get_defense("_test-noop")

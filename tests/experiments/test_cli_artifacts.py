@@ -30,7 +30,7 @@ class TestListCommand:
     def test_tag_filter(self, capsys):
         assert main(["list", "--tag", "sweep"]) == 0
         out = capsys.readouterr().out
-        assert "sweep-defense-grid" in out
+        assert "sweep-hammer-rate" in out
         assert "fig1a" not in out
 
 

@@ -19,7 +19,7 @@ class TestBuiltinCatalogue:
             "fig1a", "fig1b", "fig6", "fig8a", "fig8b",
             "fig9a", "fig9b", "fig9c",
             "table2", "table3", "power", "ablation", "semi-whitebox",
-            "sweep-defense-grid", "sweep-hammer-rate",
+            "sweep-attack-trh", "sweep-hammer-rate",
             "sweep-refresh-trh",
         ):
             assert expected in names
@@ -43,7 +43,7 @@ class TestBuiltinCatalogue:
 
     def test_tag_filter(self):
         sweeps = [s.name for s in iter_scenarios(tag="sweep")]
-        assert "sweep-defense-grid" in sweeps
+        assert "sweep-hammer-rate" in sweeps
         assert "fig1a" not in sweeps
 
 

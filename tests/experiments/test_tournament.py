@@ -1,5 +1,7 @@
 """Tests for the tournament-matrix scenario's grid, cost, and cell logic."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.defense_eval import (
@@ -10,7 +12,11 @@ from repro.analysis.defense_eval import (
 from repro.defenses.protocol import DefenseContext
 from repro.defenses.registry import build_defense
 from repro.experiments.registry import get_scenario
-from repro.experiments.tournament import _tournament_cost, tournament_cells
+from repro.experiments.tournament import (
+    _tournament_check,
+    _tournament_cost,
+    tournament_cells,
+)
 
 
 class TestGrid:
@@ -40,6 +46,15 @@ class TestGrid:
         assert get_scenario("tournament-matrix").default_trials == len(
             tournament_cells({})
         )
+
+    @pytest.mark.parametrize("axis", ["models", "defenses", "attackers"])
+    def test_empty_roster_axis_is_named(self, axis):
+        with pytest.raises(ValueError, match=f"the {axis} roster is empty"):
+            tournament_cells({axis: ""})
+
+    def test_empty_roster_fails_the_cost_hint_too(self):
+        with pytest.raises(ValueError, match="the defenses roster is empty"):
+            _tournament_cost(0, {"defenses": " , "})
 
 
 class TestCost:
@@ -73,6 +88,52 @@ class TestMatrixRows:
         assert rows[cells[0]]["floor_accuracy"] == pytest.approx(0.7)
         assert rows[cells[1]]["floor_accuracy"] == pytest.approx(0.5)
         assert set(rows[cells[0]]) == set(TOURNAMENT_CELL_METRICS)
+
+
+class TestCheck:
+    """The check's DNN-Defender floors, on fabricated per-trial metrics."""
+
+    CELLS = [
+        ["resnet20_cifar", "none", "bfa", 12],
+        ["resnet20_cifar", "dnn-defender", "bfa", 12],
+    ]
+
+    def result(self, none_floor, dd_floor, dd_clean=0.97):
+        base = {key: 0.0 for key in TOURNAMENT_CELL_METRICS}
+        trials = [
+            {**base, "cell_index": 0, "clean_accuracy": 0.97,
+             "floor_accuracy": none_floor},
+            {**base, "cell_index": 1, "clean_accuracy": dd_clean,
+             "floor_accuracy": dd_floor},
+        ]
+        return SimpleNamespace(
+            trials=len(trials), detail={"cells": self.CELLS},
+            per_trial_metrics=trials,
+        )
+
+    def test_defended_floor_holds(self):
+        _tournament_check(self.result(none_floor=0.88, dd_floor=0.95))
+
+    def test_defended_floor_below_undefended_fails(self):
+        with pytest.raises(AssertionError):
+            _tournament_check(
+                self.result(none_floor=0.94, dd_floor=0.93, dd_clean=0.95)
+            )
+
+    def test_defended_floor_far_below_its_clean_accuracy_fails(self):
+        with pytest.raises(AssertionError):
+            _tournament_check(self.result(none_floor=0.30, dd_floor=0.90))
+
+    def test_floors_compare_within_one_budget(self):
+        cells = self.CELLS + [["resnet20_cifar", "none", "bfa", 4]]
+        result = self.result(none_floor=0.88, dd_floor=0.95)
+        result.detail["cells"] = cells
+        base = dict(result.per_trial_metrics[0])
+        result.per_trial_metrics.append(
+            {**base, "cell_index": 2, "floor_accuracy": 0.96}
+        )
+        result.trials = 3
+        _tournament_check(result)
 
 
 class TestCell:
