@@ -1,37 +1,33 @@
 """``repro lint`` — static determinism & resource-safety analysis.
 
 An :mod:`ast`-based analyzer enforcing the reproducibility invariants
-the rest of this repo can only spot-check at runtime: seeded RNG
-everywhere (REP001), byte-stable serialization (REP002), the worker-env
-contract (REP003), hook hygiene (REP004), atomic artifact writes
-(REP005), float-order discipline (REP006), fork-safe module state
-(REP007) and the scenario-registration contract (REP008) — plus, under
-``--flow``, the whole-program REP1xx tier (seed provenance REP101, env
-flow REP102, fork-safety races REP103, unchecked hook flow REP104) run
-over a conservative call graph of the scanned tree.
+the rest of this repo can only spot-check at runtime: every RNG seeded
+from a parameter (REP001), byte-stable serialization (REP002), the
+worker-env contract (REP003), hook hygiene (REP004), atomic artifact
+writes (REP005), float-order discipline (REP006), fork-safe module
+state (REP007) and the scenario-registration contract (REP008).  Each
+rule reads one file at a time.
 
 Entry points::
 
     python -m repro lint [paths] [--format text|json] [--select/--ignore]
-                         [--baseline FILE] [--stats] [--flow]
-    python -m repro lint graph repro.experiments.runner.run_scenario
+                         [--stats] [--check-suppressions] [--list-rules]
 
     from repro.analysis.lint import run_lint
-    report = run_lint(["src/repro"], flow=True)
+    report = run_lint(["src/repro"])
 
 Suppress a reviewed, intentional violation in place::
 
     env = dict(os.environ)  # repro: noqa[REP003] — local transport ships full env
 
-Grandfathered findings live in ``lint-baseline.json`` at the repo root
-(see :mod:`repro.analysis.lint.suppress`); CI gates on a clean run.
+Inline pragmas are the only escape hatch (see
+:mod:`repro.analysis.lint.suppress`); CI gates on a clean run.
 """
 
 from repro.analysis.lint.engine import (
     FileContext,
     Finding,
     LintReport,
-    build_index,
     repo_root,
     run_lint,
 )
@@ -45,12 +41,11 @@ from repro.analysis.lint.registry import (
 from repro.analysis.lint.report import (
     format_dead_suppressions,
     format_findings,
-    format_graph,
     format_rules,
     format_stats,
     to_json_text,
 )
-from repro.analysis.lint.suppress import Baseline, Pragmas
+from repro.analysis.lint.suppress import Pragmas
 
 __all__ = [
     "FileContext",
@@ -58,7 +53,6 @@ __all__ = [
     "LintReport",
     "repo_root",
     "run_lint",
-    "build_index",
     "LintRule",
     "get_rule",
     "iter_rules",
@@ -67,9 +61,7 @@ __all__ = [
     "format_findings",
     "format_rules",
     "format_stats",
-    "format_graph",
     "format_dead_suppressions",
     "to_json_text",
-    "Baseline",
     "Pragmas",
 ]

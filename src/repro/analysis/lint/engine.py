@@ -6,27 +6,17 @@ safe to run over worker entry points, chaos-injection modules and
 scenario definitions without side effects.
 
 Pipeline per file: parse → build a :class:`FileContext` (source lines,
-import-alias map, parent links) → run every selected per-file rule →
-attach suppression state (``# repro: noqa[REP###]`` pragmas, then the
-committed baseline) → collect the survivors into a :class:`LintReport`.
+import-alias map, parent links) → run every selected rule → drop what
+``# repro: noqa[REP###]`` pragmas suppress → collect the survivors into
+a :class:`LintReport`.  Every rule sees one file at a time.
 
-Under ``--flow`` a whole-program phase runs between rule dispatch and
-suppression: every parsed context feeds one
-:class:`~repro.analysis.lint.callgraph.ProjectIndex`, the REP1xx flow
-rules (see :mod:`repro.analysis.lint.flow_rules`) emit findings against
-arbitrary files in the index, and those findings then flow through the
-*same* pragma/baseline/fingerprint plumbing as per-file ones —
-suppression and CI behavior are uniform across both tiers.
-
-Diagnostics are stable: findings are sorted by (path, line, col, rule)
-and fingerprinted by content rather than line number, so unrelated edits
-above a grandfathered finding do not invalidate a baseline.
+Diagnostics are stable: findings are sorted by (path, line, col, rule),
+so diffs of lint output are meaningful.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import pathlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -37,14 +27,13 @@ from repro.analysis.lint.registry import (
     iter_rules,
     path_is_exempt,
 )
-from repro.analysis.lint.suppress import Baseline, Pragmas
+from repro.analysis.lint.suppress import Pragmas
 
 __all__ = [
     "Finding",
     "FileContext",
     "LintReport",
     "run_lint",
-    "build_index",
     "repo_root",
 ]
 
@@ -66,7 +55,6 @@ class Finding:
     rule: str
     message: str
     hint: str = ""
-    fingerprint: str = ""
 
     def format_text(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -82,7 +70,6 @@ class Finding:
             "rule": self.rule,
             "message": self.message,
             "hint": self.hint,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -145,12 +132,6 @@ class FileContext:
         parts.append(resolved)
         return ".".join(reversed(parts))
 
-    def line_text(self, node: ast.AST) -> str:
-        lineno = getattr(node, "lineno", 0)
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
 
 def _import_aliases(tree: ast.Module) -> dict[str, str]:
     """Local name → dotted origin, from every import in the file.
@@ -184,9 +165,7 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
     parse_errors: list[str] = field(default_factory=list)
-    graph: dict | None = None  # call-graph + entry-set summary (--flow)
     dead_suppressions: list[dict] = field(default_factory=list)
 
     def stats(self) -> dict:
@@ -201,7 +180,6 @@ class LintReport:
             "by_rule": dict(sorted(by_rule.items())),
             "by_package": dict(sorted(by_package.items())),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "files_checked": self.files_checked,
             "dead_suppressions": len(self.dead_suppressions),
         }
@@ -209,13 +187,12 @@ class LintReport:
     def to_json(self) -> dict:
         """Stable machine-readable payload (schema pinned by tests)."""
         return {
-            "version": 2,
+            "version": 3,
             "tool": "repro-lint",
             "files_checked": self.files_checked,
             "findings": [f.to_json() for f in self.findings],
             "stats": self.stats(),
             "parse_errors": list(self.parse_errors),
-            "graph": self.graph,
             "dead_suppressions": list(self.dead_suppressions),
         }
 
@@ -255,12 +232,6 @@ def _relpath(path: pathlib.Path, root: pathlib.Path) -> str:
         return path.as_posix()
 
 
-def _fingerprint(rule_id: str, relpath: str, line_text: str, occurrence: int) -> str:
-    """Content-addressed finding identity, stable under line-number drift."""
-    payload = f"{rule_id}|{relpath}|{line_text.strip()}|{occurrence}"
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _select_rules(
     select: Sequence[str] | None, ignore: Sequence[str] | None
 ) -> list[LintRule]:
@@ -274,102 +245,31 @@ def _select_rules(
     return rules
 
 
-_RawFinding = tuple[int, int, str, str, str]  # line, col, rule, msg, hint
-
-
-def _raw_from_check(spec: LintRule, node: ast.AST, message: str) -> _RawFinding:
-    return (
-        getattr(node, "lineno", 1),
-        getattr(node, "col_offset", 0) + 1,
-        spec.id,
-        message,
-        spec.hint,
-    )
-
-
-def _finalize_file(
-    ctx: FileContext,
-    pragmas: Pragmas,
-    raw: list[_RawFinding],
-) -> tuple[list[Finding], int]:
-    """Apply pragmas and mint fingerprints for one file's raw findings.
-
-    Occurrence-index fingerprints: two identical lines violating the
-    same rule stay distinguishable without depending on line numbers.
-    """
-    occurrences: dict[tuple[str, str], int] = {}
-    findings: list[Finding] = []
-    suppressed = 0
-    for line, col, rule_id, message, hint in sorted(raw):
-        if pragmas.suppresses(line, rule_id):
-            suppressed += 1
-            continue
-        text = ctx.lines[line - 1] if 1 <= line <= len(ctx.lines) else ""
-        key = (rule_id, text.strip())
-        occurrence = occurrences.get(key, 0)
-        occurrences[key] = occurrence + 1
-        findings.append(
-            Finding(
-                path=ctx.relpath,
-                line=line,
-                col=col,
-                rule=rule_id,
-                message=message,
-                hint=hint,
-                fingerprint=_fingerprint(
-                    rule_id, ctx.relpath, text, occurrence
-                ),
-            )
-        )
-    return findings, suppressed
-
-
-def lint_file(
-    path: pathlib.Path,
-    root: pathlib.Path,
-    rules: Sequence[LintRule],
-) -> tuple[list[Finding], int, str | None]:
-    """Lint one file with per-file rules only (flow rules need an index)."""
-    relpath = _relpath(path, root)
-    try:
-        source = path.read_text()
-        ctx = FileContext(path, relpath, source)
-    except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-        return [], 0, f"{relpath}: {type(exc).__name__}: {exc}"
+def _lint_file(
+    ctx: FileContext, rules: Sequence[LintRule], report: LintReport
+) -> None:
+    """Run ``rules`` over one parsed file; record findings and pragmas."""
     pragmas = Pragmas.scan(ctx.lines)
-    raw: list[_RawFinding] = []
+    raw = []
     for spec in rules:
-        if spec.flow or path_is_exempt(relpath, spec):
+        if path_is_exempt(ctx.relpath, spec):
             continue
         for node, message in spec.check(ctx):
-            raw.append(_raw_from_check(spec, node, message))
-    findings, suppressed = _finalize_file(ctx, pragmas, raw)
-    return findings, suppressed, None
-
-
-def build_index(
-    paths: Iterable[str | pathlib.Path] | None = None,
-    *,
-    root: str | pathlib.Path | None = None,
-):
-    """Parse ``paths`` and build the whole-program :class:`ProjectIndex`.
-
-    Returns ``(index, parse_errors)`` — the entry point for
-    ``repro lint graph`` and for tests poking the graph directly.
-    """
-    from repro.analysis.lint.callgraph import ProjectIndex
-
-    root = pathlib.Path(root).resolve() if root is not None else _REPO_ROOT
-    targets = [pathlib.Path(p) for p in paths] if paths else [root / "src"]
-    contexts: list[FileContext] = []
-    parse_errors: list[str] = []
-    for path in discover_files(targets):
-        relpath = _relpath(path, root)
-        try:
-            contexts.append(FileContext(path, relpath, path.read_text()))
-        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-            parse_errors.append(f"{relpath}: {type(exc).__name__}: {exc}")
-    return ProjectIndex.build(contexts), parse_errors
+            raw.append((
+                getattr(node, "lineno", 1),
+                getattr(node, "col_offset", 0) + 1,
+                spec.id,
+                message,
+                spec.hint,
+            ))
+    for line, col, rule_id, message, hint in sorted(raw):
+        if pragmas.suppresses(line, rule_id):
+            report.suppressed += 1
+            continue
+        report.findings.append(
+            Finding(ctx.relpath, line, col, rule_id, message, hint)
+        )
+    report.dead_suppressions.extend(pragmas.dead_entries(ctx.relpath))
 
 
 def run_lint(
@@ -378,8 +278,6 @@ def run_lint(
     root: str | pathlib.Path | None = None,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    baseline: Baseline | str | pathlib.Path | None = None,
-    flow: bool = False,
 ) -> LintReport:
     """Lint ``paths`` (default: ``src/`` under the repo root).
 
@@ -388,82 +286,28 @@ def run_lint(
         root: Base for repo-relative diagnostic paths (default: the
             repository root inferred from this package's location).
         select: Only run these rule ids (default: all registered).
-            Explicitly selecting a flow rule enables the flow phase for
-            it even without ``flow=True``.
         ignore: Drop these rule ids from the run.
-        baseline: A :class:`Baseline`, or a path to load one from —
-            grandfathered fingerprints are filtered out and counted.
-        flow: Run the whole-program phase (project index + REP1xx flow
-            rules) over every parsed file.
     """
     root = pathlib.Path(root).resolve() if root is not None else _REPO_ROOT
     targets = (
         [pathlib.Path(p) for p in paths] if paths else [root / "src"]
     )
     rules = _select_rules(select, ignore)
-    file_rules = [spec for spec in rules if not spec.flow]
-    flow_specs = [spec for spec in rules if spec.flow]
-    if not flow and not select:
-        flow_specs = []
-    if isinstance(baseline, (str, pathlib.Path)):
-        baseline = Baseline.load(baseline)
     report = LintReport()
-
-    # Pass 0: parse everything once; run the per-file tier.
-    by_file: dict[str, tuple[FileContext, Pragmas, list[_RawFinding]]] = {}
+    scanned: list[str] = []
     for path in discover_files(targets):
         report.files_checked += 1
         relpath = _relpath(path, root)
         try:
-            source = path.read_text()
-            ctx = FileContext(path, relpath, source)
+            ctx = FileContext(path, relpath, path.read_text())
         except (SyntaxError, UnicodeDecodeError, OSError) as exc:
             report.parse_errors.append(
                 f"{relpath}: {type(exc).__name__}: {exc}"
             )
             continue
-        pragmas = Pragmas.scan(ctx.lines)
-        raw: list[_RawFinding] = []
-        for spec in file_rules:
-            if path_is_exempt(relpath, spec):
-                continue
-            for node, message in spec.check(ctx):
-                raw.append(_raw_from_check(spec, node, message))
-        by_file[relpath] = (ctx, pragmas, raw)
-
-    # Whole-program phase: one index, flow rules yield (ctx, node, msg)
-    # against any file in it; findings join that file's raw list so the
-    # pragma/fingerprint/baseline plumbing below treats both tiers alike.
-    if flow_specs and by_file:
-        from repro.analysis.lint.callgraph import ProjectIndex
-        from repro.analysis.lint.flow_rules import entry_summary
-
-        index = ProjectIndex.build(ctx for ctx, _, _ in by_file.values())
-        for spec in flow_specs:
-            for ctx, node, message in spec.check(index):
-                if path_is_exempt(ctx.relpath, spec):
-                    continue
-                entry = by_file.get(ctx.relpath)
-                if entry is not None:
-                    entry[2].append(_raw_from_check(spec, node, message))
-        report.graph = dict(index.summary())
-        report.graph["entries"] = entry_summary(index)
-
-    # Finalize: suppression, fingerprints, baseline, dead-suppression.
-    matched_baseline: set[str] = set()
-    for relpath in sorted(by_file):
-        ctx, pragmas, raw = by_file[relpath]
-        findings, suppressed = _finalize_file(ctx, pragmas, raw)
-        report.suppressed += suppressed
-        for finding in findings:
-            if baseline is not None and baseline.contains(finding):
-                report.baselined += 1
-                matched_baseline.add(finding.fingerprint)
-            else:
-                report.findings.append(finding)
-        report.dead_suppressions.extend(pragmas.dead_entries(relpath))
-    scanned = sorted(by_file)
-    for spec in sorted(file_rules + flow_specs, key=lambda s: s.id):
+        scanned.append(relpath)
+        _lint_file(ctx, rules, report)
+    for spec in rules:
         for pattern in spec.exempt:
             if not any(
                 rel == pattern or rel.endswith("/" + pattern)
@@ -480,10 +324,6 @@ def run_lint(
                         ),
                     }
                 )
-    if baseline is not None:
-        report.dead_suppressions.extend(
-            baseline.dead_entries(matched_baseline)
-        )
     report.dead_suppressions.sort(
         key=lambda d: (d["kind"], d["path"], d["line"], d["detail"])
     )

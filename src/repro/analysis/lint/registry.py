@@ -54,21 +54,15 @@ class LintRule:
 
     Attributes:
         id: Stable diagnostic code (``REP001`` …) — referenced by
-            suppression pragmas, baselines and ``--select/--ignore``.
+            suppression pragmas and ``--select/--ignore``.
         name: Kebab-case slug for humans (``unseeded-rng``).
         summary: One-line description shown by ``repro lint --list-rules``.
         hint: Fix hint appended to every finding this rule emits.
         rationale: Which recurring bug class / past PR fix the rule
             codifies (shown in the docs rule table).
-        check: Generator of ``(node, message)`` pairs for one file —
-            or, for flow rules, ``(ctx, node, message)`` triples over
-            the whole-program index.
+        check: Generator of ``(node, message)`` pairs for one file.
         exempt: Repo-relative path suffixes the rule skips — the
             sanctioned implementation sites of the invariant itself.
-        flow: True for REP1xx whole-program rules: ``check`` receives a
-            :class:`~repro.analysis.lint.callgraph.ProjectIndex` instead
-            of one file's context, and only runs under ``--flow`` (or
-            when explicitly ``--select``-ed).
     """
 
     id: str
@@ -78,7 +72,6 @@ class LintRule:
     check: Callable = field(repr=False, compare=False)
     rationale: str = ""
     exempt: tuple[str, ...] = ()
-    flow: bool = False
 
 
 def register(spec: LintRule) -> LintRule:
@@ -104,7 +97,6 @@ def rule(
     hint: str,
     rationale: str = "",
     exempt: tuple[str, ...] = (),
-    flow: bool = False,
 ) -> Callable[[Callable], LintRule]:
     """Decorator: register the wrapped check function as a lint rule.
 
@@ -122,7 +114,6 @@ def rule(
                 check=fn,
                 rationale=rationale,
                 exempt=tuple(exempt),
-                flow=flow,
             )
         )
 
@@ -174,5 +165,4 @@ def _ensure_builtins() -> None:
     standalone while guaranteeing the REP rules are present whenever the
     registry is queried.
     """
-    import repro.analysis.lint.flow_rules  # noqa: F401  (registers on import)
     import repro.analysis.lint.rules  # noqa: F401  (registers on import)

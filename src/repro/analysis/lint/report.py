@@ -20,7 +20,6 @@ __all__ = [
     "format_findings",
     "format_stats",
     "format_rules",
-    "format_graph",
     "format_dead_suppressions",
     "to_json_text",
 ]
@@ -35,13 +34,8 @@ def format_findings(report: LintReport) -> str:
         f"{len(report.findings)} finding(s) in {report.files_checked} "
         f"file(s)"
     )
-    extras = []
     if report.suppressed:
-        extras.append(f"{report.suppressed} suppressed by pragma")
-    if report.baselined:
-        extras.append(f"{report.baselined} baselined")
-    if extras:
-        tally += f" ({', '.join(extras)})"
+        tally += f" ({report.suppressed} suppressed by pragma)"
     lines.append(tally)
     return "\n".join(lines)
 
@@ -63,23 +57,10 @@ def format_stats(report: LintReport) -> str:
         format_table(["package", "findings"], package_rows,
                      title="findings per package"),
     ]
-    if report.graph is not None:
-        graph_rows = [
-            [key, str(report.graph[key])]
-            for key in ("modules", "functions", "call_edges",
-                        "external_calls", "unresolved_calls")
-        ]
-        for key, count in report.graph.get("entries", {}).items():
-            graph_rows.append([key.replace("_", " "), str(count)])
-        sections.append(
-            format_table(["call graph", "count"], graph_rows,
-                         title="flow analysis")
-        )
     if report.dead_suppressions:
         sections.append(format_dead_suppressions(report))
     sections.append(
         f"total: {stats['total']}  suppressed: {stats['suppressed']}  "
-        f"baselined: {stats['baselined']}  "
         f"files: {stats['files_checked']}  "
         f"dead suppressions: {stats['dead_suppressions']}"
     )
@@ -87,7 +68,7 @@ def format_stats(report: LintReport) -> str:
 
 
 def format_dead_suppressions(report: LintReport) -> str:
-    """Suppressions (pragma / baseline / exempt) that no longer fire."""
+    """Suppressions (pragma / exempt path) that no longer fire."""
     rows = [
         [dead["kind"], dead["path"],
          str(dead["line"]) if dead["line"] else "-", dead["detail"]]
@@ -95,46 +76,6 @@ def format_dead_suppressions(report: LintReport) -> str:
     ] or [["-", "-", "-", "none"]]
     return format_table(["kind", "path", "line", "detail"], rows,
                         title="dead suppressions")
-
-
-def format_graph(index, qualname: str) -> str:
-    """``repro lint graph <qualname>``: callers/callees/taint facts."""
-    from repro.analysis.lint.flow_rules import function_facts
-
-    fn = index.resolve_symbol(qualname)
-    if fn is None:
-        known = len(index.functions)
-        raise KeyError(
-            f"unknown symbol {qualname!r} "
-            f"(index holds {known} functions; use a dotted qualname like "
-            "repro.experiments.runner.run_scenario)"
-        )
-    lines = [
-        f"{fn.qualname}  ({fn.relpath}:{fn.lineno})",
-    ]
-    callees = index.callees.get(fn.qualname, [])
-    callers = index.callers.get(fn.qualname, [])
-    external = index.external_calls.get(fn.qualname, [])
-    unresolved = index.unresolved.get(fn.qualname, 0)
-    lines.append(f"\ncallees ({len(callees)}):")
-    lines.extend(f"  -> {target}" for target in callees)
-    if not callees:
-        lines.append("  (none)")
-    lines.append(f"\ncallers ({len(callers)}):")
-    lines.extend(f"  <- {source}" for source in callers)
-    if not callers:
-        lines.append("  (none)")
-    if external:
-        lines.append(f"\nexternal calls ({len(external)}):")
-        lines.extend(f"  ~> {target}" for target in external)
-    if unresolved:
-        lines.append(f"\nunresolved dynamic calls: {unresolved}")
-    facts = function_facts(index, fn.qualname)
-    lines.append(f"\ntaint facts ({len(facts)}):")
-    lines.extend(f"  * {fact}" for fact in facts)
-    if not facts:
-        lines.append("  (none)")
-    return "\n".join(lines)
 
 
 def format_rules() -> str:

@@ -8,7 +8,8 @@ functions over a parsed :class:`repro.analysis.lint.engine.FileContext`
 
 Rule tour:
 
-* REP001 — unseeded RNG outside the sanctioned fallback module.
+* REP001 — RNG without a parameter-derived seed, or global-state RNG
+  APIs, outside the sanctioned fallback module.
 * REP002 — wall-clock / unordered iteration inside serialization paths.
 * REP003 — raw ``os.environ`` reads outside the env choke point.
 * REP004 — hook-attaching classes without a detach path.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import ast
 import re
+from typing import Iterable, Iterator
 
 from repro.analysis.lint.registry import rule
 
@@ -48,31 +50,135 @@ _STDLIB_RANDOM_FNS = {
 }
 
 
+# RNG constructors whose seed must come from the caller: a constant or
+# ambient seed here silently decouples results from the trial seed.
+_RNG_CONSTRUCTORS = {
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "numpy.random.SeedSequence",
+    "random.Random",
+}
+
+
+def iter_scope(body: Iterable[ast.stmt]) -> Iterator[ast.AST]:
+    """Preorder walk of one scope, not descending into nested defs/classes.
+
+    The nested ``def``/``class`` *statements* themselves are yielded, but
+    their bodies belong to their own scope.  Lambdas stay in the
+    enclosing scope: they share its locals.
+    """
+    stack = list(body)[::-1]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        stack.extend(list(ast.iter_child_nodes(node))[::-1])
+
+
+def expr_names(expr: ast.AST) -> set[str]:
+    """Every bare name read anywhere inside an expression."""
+    return {
+        node.id for node in ast.walk(expr) if isinstance(node, ast.Name)
+    }
+
+
+def param_derived_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Names that (transitively) derive from the function's parameters.
+
+    Seeded with every parameter, then closed over the function scope's
+    straight-line ``Assign``/``AnnAssign``/``AugAssign`` statements and
+    walrus bindings: a target joins the set when any name in its value
+    is already in it.  Control flow is ignored (any-path
+    over-approximation): the rule prefers staying silent over flagging
+    a value that *might* be threaded from the caller.
+    """
+    args = fn.args
+    derived = {
+        arg.arg
+        for arg in args.posonlyargs + args.args + args.kwonlyargs
+    }
+    if args.vararg is not None:
+        derived.add(args.vararg.arg)
+    if args.kwarg is not None:
+        derived.add(args.kwarg.arg)
+    changed = True
+    while changed:
+        changed = False
+        for node in iter_scope(fn.body):
+            targets: list[ast.AST]
+            if isinstance(node, ast.Assign):
+                value, targets = node.value, list(node.targets)
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                value, targets = node.value, [node.target]
+            elif isinstance(node, ast.AugAssign):
+                value, targets = node.value, [node.target]
+            elif isinstance(node, ast.NamedExpr):
+                value, targets = node.value, [node.target]
+            else:
+                continue
+            if not (expr_names(value) & derived):
+                continue
+            for target in targets:
+                for name_node in ast.walk(target):
+                    if (
+                        isinstance(name_node, ast.Name)
+                        and name_node.id not in derived
+                    ):
+                        derived.add(name_node.id)
+                        changed = True
+    return derived
+
+
+def _seed_arg(node: ast.Call) -> ast.AST | None:
+    """The seed an RNG constructor receives: first positional or ``seed=``."""
+    if node.args:
+        return node.args[0]
+    for kw in node.keywords:
+        if kw.arg == "seed":
+            return kw.value
+    return None
+
+
 @rule(
     "REP001",
     name="unseeded-rng",
-    summary="RNG constructed without an explicit seed, or legacy "
-            "global-state numpy/stdlib random API",
+    summary="RNG constructed without a seed or from a seed no parameter "
+            "supplies, or legacy global-state numpy/stdlib random API",
     hint="thread a seeded np.random.Generator through (TrialContext.rng() "
          "in scenarios); the only sanctioned unseeded fallback is "
          "repro.nn.seeding.fallback_rng",
     rationale="PR 3 patched silent unseeded-RNG fallbacks in "
-              "Conv2d/Linear/Dropout/VGG/ResNet (UnseededRngWarning)",
+              "Conv2d/Linear/Dropout/VGG/ResNet (UnseededRngWarning); a "
+              "helper that reseeds from a constant decouples every trial "
+              "that calls it from the trial seed",
     exempt=("nn/seeding.py",),
 )
 def check_unseeded_rng(ctx):
+    derived: dict[ast.AST | None, set[str]] = {}
     for node in ctx.walk(ast.Call):
         qual = ctx.qualname(node.func)
         if qual is None:
             continue
-        if qual == "numpy.random.default_rng":
-            has_seed = bool(node.args) or any(
-                kw.arg == "seed" for kw in node.keywords
-            )
-            if not has_seed:
+        if qual in _RNG_CONSTRUCTORS:
+            shown = qual.replace("numpy.", "np.", 1)
+            seed = _seed_arg(node)
+            if seed is None:
+                message = f"{shown}() without a seed draws fresh OS entropy"
+                if qual != "random.Random":
+                    message += " — trials stop being reproducible"
+                yield node, message
+                continue
+            fn = ctx.enclosing_function(node)
+            if fn not in derived:
+                derived[fn] = param_derived_names(fn) if fn else set()
+            if not (expr_names(seed) & derived[fn]):
+                where = f"{fn.name}()" if fn else "module scope"
                 yield node, (
-                    "np.random.default_rng() without a seed draws fresh "
-                    "OS entropy — trials stop being reproducible"
+                    f"{shown}(...) in {where} is seeded from a constant or "
+                    "ambient value, not from a parameter — every caller "
+                    "gets the same stream, whatever its trial seed"
                 )
         elif qual.startswith("numpy.random."):
             tail = qual.rsplit(".", 1)[1]
@@ -80,11 +186,6 @@ def check_unseeded_rng(ctx):
                 yield node, (
                     f"legacy global-state API np.random.{tail}() — results "
                     "depend on process-wide call order, not the trial seed"
-                )
-        elif qual == "random.Random":
-            if not node.args and not node.keywords:
-                yield node, (
-                    "random.Random() without a seed draws fresh OS entropy"
                 )
         elif qual.startswith("random."):
             tail = qual.rsplit(".", 1)[1]

@@ -1,33 +1,21 @@
-"""Suppression mechanics: ``noqa`` pragmas and the committed baseline.
+"""Suppression mechanics: ``noqa`` pragmas, the one escape hatch.
 
-Two escape hatches with different lifetimes:
-
-* **Pragmas** are permanent, reviewed-in-place waivers.  A trailing
-  ``# repro: noqa[REP003]`` on the offending line (or a module-level
-  ``# repro: noqa-file[REP003]`` line) says "this site intentionally
-  violates the rule, and the adjacent comment explains why".  A bare
-  ``# repro: noqa`` waives every rule on that line — reserved for
-  fixtures and generated code.
-
-* The **baseline** is a committed JSON ledger of *grandfathered*
-  findings: pre-existing violations tolerated while the rule ramps in.
-  Entries are content-fingerprinted (rule + path + line text +
-  occurrence index), so they survive unrelated edits but die with the
-  line they describe — fixing the code shrinks the baseline for free.
+Pragmas are permanent, reviewed-in-place waivers.  A trailing
+``# repro: noqa[REP003]`` on the offending line (or a module-level
+``# repro: noqa-file[REP003]`` line) says "this site intentionally
+violates the rule, and the adjacent comment explains why".  A bare
+``# repro: noqa`` waives every rule on that line — reserved for
+fixtures and generated code.
 """
 
 from __future__ import annotations
 
 import io
-import json
-import pathlib
 import re
 import tokenize
 from dataclasses import dataclass, field
 
-__all__ = ["Pragmas", "Baseline", "BASELINE_VERSION"]
-
-BASELINE_VERSION = 1
+__all__ = ["Pragmas"]
 
 _LINE_PRAGMA = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Z0-9,\s]+)\])?")
 _FILE_PRAGMA = re.compile(r"^\s*#\s*repro:\s*noqa-file\[([A-Z0-9,\s]+)\]")
@@ -41,8 +29,8 @@ class Pragmas:
 
     Every pragma's *use* is tracked: :meth:`suppresses` records which
     line/file-wide waivers actually fired, so :meth:`dead_entries` can
-    report pragmas that no longer suppress anything (satellite of the
-    flow-analysis PR: suppressions are debt and must stay live).
+    report pragmas that no longer suppress anything: suppressions are
+    debt and must stay live.
     """
 
     by_line: dict[int, set[str]] = field(default_factory=dict)
@@ -135,86 +123,3 @@ def _comment_linenos(lines: list[str]) -> set[int] | None:
         }
     except (tokenize.TokenError, IndentationError, SyntaxError):
         return None
-
-
-@dataclass
-class Baseline:
-    """Fingerprint set of grandfathered findings (committed as JSON)."""
-
-    fingerprints: dict[str, dict] = field(default_factory=dict)
-    path: pathlib.Path | None = None
-
-    @classmethod
-    def load(cls, path: str | pathlib.Path) -> "Baseline":
-        path = pathlib.Path(path)
-        if not path.exists():
-            return cls(path=path)
-        payload = json.loads(path.read_text())
-        version = payload.get("version")
-        if version != BASELINE_VERSION:
-            raise ValueError(
-                f"{path}: unsupported baseline version {version!r} "
-                f"(expected {BASELINE_VERSION})"
-            )
-        entries = payload.get("findings", {})
-        if not isinstance(entries, dict):
-            raise ValueError(f"{path}: baseline 'findings' must be an object")
-        return cls(fingerprints=dict(entries), path=path)
-
-    def contains(self, finding) -> bool:
-        return finding.fingerprint in self.fingerprints
-
-    def dead_entries(self, matched: set[str]) -> list[dict]:
-        """Baseline fingerprints that matched no finding this run."""
-        dead: list[dict] = []
-        for fp in sorted(set(self.fingerprints) - matched):
-            entry = self.fingerprints[fp]
-            dead.append(
-                {
-                    "kind": "baseline",
-                    "path": str(entry.get("path", "")),
-                    "line": 0,
-                    "detail": (
-                        f"baseline entry {fp} ({entry.get('rule', '?')}) "
-                        "matches no finding"
-                    ),
-                }
-            )
-        return dead
-
-    def gained_over(self, old: "Baseline") -> list[str]:
-        """Fingerprints present here but not in ``old`` (ratchet check)."""
-        return sorted(set(self.fingerprints) - set(old.fingerprints))
-
-    def to_json(self) -> dict:
-        return {
-            "version": BASELINE_VERSION,
-            "findings": {
-                fp: self.fingerprints[fp] for fp in sorted(self.fingerprints)
-            },
-        }
-
-    @classmethod
-    def from_findings(
-        cls, findings, path: str | pathlib.Path | None = None
-    ) -> "Baseline":
-        """Build a baseline grandfathering every finding in ``findings``."""
-        entries = {
-            f.fingerprint: {"rule": f.rule, "path": f.path, "message": f.message}
-            for f in findings
-        }
-        return cls(
-            fingerprints=entries,
-            path=pathlib.Path(path) if path is not None else None,
-        )
-
-    def save(self, path: str | pathlib.Path | None = None) -> pathlib.Path:
-        from repro.utils.io import atomic_write_text
-
-        target = pathlib.Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("no baseline path to save to")
-        atomic_write_text(
-            target, json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-        )
-        return target

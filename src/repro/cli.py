@@ -30,14 +30,10 @@ Subcommands:
   optionally under strict/audit timing-rule checking), or print a trace.
 * ``lint [paths]`` — static determinism & resource-safety analysis (the
   REP rule set over ``src/`` by default): ``--format text|json``,
-  ``--select/--ignore RULES``, ``--baseline FILE`` for grandfathered
-  findings, ``--write-baseline``, ``--stats`` summary tables and
-  ``--list-rules``.  Exits 1 when findings remain, so CI can gate on it.
-  ``--flow`` adds the whole-program REP1xx tier (call graph + taint
-  dataflow over the scanned tree); ``lint graph QUALNAME`` prints one
-  symbol's callers/callees/taint facts; ``--check-suppressions`` fails
-  on dead noqa/baseline/exempt entries and ``--ratchet OLD_FILE`` fails
-  when the committed baseline gained entries over ``OLD_FILE``.
+  ``--select/--ignore RULES``, ``--stats`` summary tables and
+  ``--list-rules``.  Exits 1 when findings remain, so CI can gate on it;
+  ``--check-suppressions`` also fails on dead noqa pragmas and exempt
+  paths.
 * ``cache info | clear`` — inspect or empty the trained-preset and
   attack-profile caches.
 
@@ -257,38 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_cmd.add_argument("paths", nargs="*", metavar="path",
                           help="files/directories to analyze "
-                               "(default: src/ under the repo root); or "
-                               "'graph QUALNAME' to print one symbol's "
-                               "callers/callees/taint facts")
+                               "(default: src/ under the repo root)")
     lint_cmd.add_argument("--format", default="text",
                           choices=("text", "json"),
                           help="diagnostic output format (default: text)")
-    lint_cmd.add_argument("--flow", default=False,
-                          action=argparse.BooleanOptionalAction,
-                          help="run the whole-program flow phase "
-                               "(call graph + REP1xx rules)")
     lint_cmd.add_argument("--select", default=None, metavar="REP001,...",
                           help="only run these rule ids")
     lint_cmd.add_argument("--ignore", default=None, metavar="REP001,...",
                           help="skip these rule ids")
-    lint_cmd.add_argument("--baseline", default="auto", metavar="FILE",
-                          help="baseline of grandfathered findings "
-                               "(default: lint-baseline.json at the repo "
-                               "root when present; 'none' disables)")
-    lint_cmd.add_argument("--write-baseline", action="store_true",
-                          help="grandfather every current finding into "
-                               "the baseline file and exit 0")
     lint_cmd.add_argument("--stats", action="store_true",
                           help="print findings-per-rule/package summary "
                                "tables (text format)")
     lint_cmd.add_argument("--check-suppressions", action="store_true",
                           help="also fail (exit 1) when dead suppressions "
-                               "exist: noqa pragmas, baseline entries or "
-                               "exempt paths that no longer match anything")
-    lint_cmd.add_argument("--ratchet", default=None, metavar="OLD_FILE",
-                          help="compare the committed baseline against "
-                               "OLD_FILE and fail if it gained entries "
-                               "(shrinking is allowed), then exit")
+                               "exist: noqa pragmas or exempt paths that "
+                               "no longer match anything")
     lint_cmd.add_argument("--list-rules", action="store_true",
                           help="print the rule catalogue and exit")
 
@@ -860,14 +839,10 @@ def _record_to_event(record):
 def _cmd_lint(args) -> int:
     """``repro lint``: run the static analyzer; exit 1 on findings."""
     from repro.analysis.lint import (
-        Baseline,
-        build_index,
         format_dead_suppressions,
         format_findings,
-        format_graph,
         format_rules,
         format_stats,
-        repo_root,
         run_lint,
         to_json_text,
     )
@@ -875,60 +850,10 @@ def _cmd_lint(args) -> int:
     if args.list_rules:
         print(format_rules())
         return 0
-    if args.paths and args.paths[0] == "graph":
-        if len(args.paths) < 2:
-            raise ValueError("lint graph needs a symbol: "
-                             "repro lint graph pkg.mod.func [paths]")
-        qualname = args.paths[1]
-        index, parse_errors = build_index(args.paths[2:] or None)
-        for error in parse_errors:
-            print(f"error: cannot analyze {error}", file=sys.stderr)
-        print(format_graph(index, qualname))
-        return 0
-    if args.ratchet is not None:
-        committed = repo_root() / "lint-baseline.json"
-        current = Baseline.load(committed)
-        old = Baseline.load(args.ratchet)
-        gained = current.gained_over(old)
-        if gained:
-            print(f"ratchet: {committed} gained {len(gained)} entr(ies) "
-                  f"over {args.ratchet} — the baseline may only shrink:")
-            for fp in gained:
-                entry = current.fingerprints[fp]
-                print(f"  + {fp}  {entry.get('rule', '?')} "
-                      f"{entry.get('path', '?')}")
-            return 1
-        shrunk = len(old.fingerprints) - len(current.fingerprints)
-        print(f"ratchet ok: no new baseline entries "
-              f"({shrunk} removed since {args.ratchet})")
-        return 0
-    select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
-    baseline_path = None
-    if args.baseline == "auto":
-        default_path = repo_root() / "lint-baseline.json"
-        if default_path.exists():
-            baseline_path = default_path
-    elif args.baseline not in ("none", ""):
-        baseline_path = pathlib.Path(args.baseline)
-    if args.write_baseline:
-        target = baseline_path or repo_root() / "lint-baseline.json"
-        # Grandfather what the rules currently find (pragmas already
-        # applied), so a ratcheting rollout starts from a green gate.
-        report = run_lint(args.paths or None, select=select, ignore=ignore,
-                          flow=args.flow)
-        Baseline.from_findings(report.findings).save(target)
-        print(
-            f"baseline: {len(report.findings)} finding(s) grandfathered "
-            f"-> {target}"
-        )
-        return 0
     report = run_lint(
         args.paths or None,
-        select=select,
-        ignore=ignore,
-        baseline=baseline_path,
-        flow=args.flow,
+        select=args.select.split(",") if args.select else None,
+        ignore=args.ignore.split(",") if args.ignore else None,
     )
     if args.format == "json":
         print(to_json_text(report), end="")

@@ -214,9 +214,12 @@ class DefendedDeployment:
         )
 
     def close(self) -> None:
-        """Detach the defense's controller hooks (idempotent)."""
+        """Detach the defense's and the timing checker's controller hooks
+        (idempotent).  A closed checker keeps its ``violations``."""
         if self.defense is not None:
             self.defense.close()
+        if self.checker is not None:
+            self.checker.close()
 
     def __enter__(self) -> "DefendedDeployment":
         return self

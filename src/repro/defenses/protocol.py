@@ -13,8 +13,8 @@ guards, RADAR — presents the same lifecycle to deployments and to the
   through; hardware-context defenses instead react from controller hooks
   while the DRAM path drives flips via ``HammerExecutor``.
 * **``tick()``** — the hammer driver's per-window defense hook.
-* **``close()`` / ``__exit__``** — hook detach (lint rules REP004/REP104:
-  a defense that registers controller hooks must be detachable, or it
+* **``close()`` / ``__exit__``** — hook detach (lint rule REP004: a
+  defense that registers controller hooks must be detachable, or it
   outlives its experiment as a live observer).
 * **``recover()``** — optional post-attack repair (RADAR's zero-out,
   the reconstruction guard's clamp); returns corrected weights.
@@ -253,8 +253,8 @@ class HookedDefenseAdapter(Defense):
     Wraps a :class:`repro.defenses.base.HookedDefense` instance (RRS,
     SRS, Shadow, the counter trackers, P-PIM) — built only when the
     context carries a live controller.  ``close()`` forwards to the
-    inner hook detach, so the REP004/REP104 attach/detach contract is
-    honoured through the adapter.
+    inner hook detach, so the REP004 attach/detach contract is honoured
+    through the adapter.
     """
 
     def __init__(self, qmodel: "QuantizedModel", inner):

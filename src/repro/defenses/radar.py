@@ -20,7 +20,7 @@ reads every weight row once (``rows x t_rc_ns``) plus a per-group
 compare cost, accumulated in ``detection_ns`` and surfaced through
 ``DefenseStats.notes``.  With a live memory controller the defense also
 registers an activate hook so sweeps are scheduled by observed DRAM
-activity; the hook is detached by ``close()`` (lint REP004/REP104).
+activity; the hook is detached by ``close()`` (lint REP004).
 """
 
 from __future__ import annotations

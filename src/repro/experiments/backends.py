@@ -1004,13 +1004,18 @@ class ShardedBackend(Backend):
         stragglers at the *start* of the run, where stealing can absorb
         them, instead of discovering one in the final lease.  A broken
         hint degrades to index order with a warning — scheduling order
-        never affects results, only wall-clock.
+        never affects results, only wall-clock.  ``ValueError`` and
+        ``KeyError`` propagate: they name bad scenario params, which
+        every trial would fail on too, and :meth:`run` orders the leases
+        before it makes the workdir or launches a worker.
         """
         cost_fn = getattr(plan.spec, "trial_cost", None)
         if cost_fn is None:
             return list(pending)
         try:
             costs = {i: float(cost_fn(i, plan.params)) for i in pending}
+        except (ValueError, KeyError):
+            raise
         except Exception as exc:
             warnings.warn(
                 f"trial_cost hint for {plan.scenario} failed ({exc}); "
@@ -1132,6 +1137,7 @@ class ShardedBackend(Backend):
         pending = set(plan.pending)
         if not pending:
             return
+        order = self._order_pending(plan, sorted(pending))
         if self.workdir is not None:
             directory, ephemeral = self.workdir, False
             directory.mkdir(parents=True, exist_ok=True)
@@ -1171,7 +1177,7 @@ class ShardedBackend(Backend):
             ):
                 stale.unlink()
         try:
-            self._schedule(plan, pending, directory, first_id)
+            self._schedule(plan, pending, order, directory, first_id)
             if pending:
                 raise RuntimeError(
                     f"chunk workers never reported trial(s) {sorted(pending)}"
@@ -1191,6 +1197,7 @@ class ShardedBackend(Backend):
         self,
         plan: ExecutionPlan,
         pending: set[int],
+        order: list[int],
         directory: pathlib.Path,
         first_id: int,
     ) -> None:
@@ -1201,7 +1208,8 @@ class ShardedBackend(Backend):
         transports = [transport]  # every venue used, for final close()
         # Leases are carved on demand, so an adaptive size can change
         # mid-run; chunk ids count up from ``first_id`` in carve order.
-        pool = collections.deque(self._order_pending(plan, sorted(pending)))
+        # Lease order, less what salvage already recorded.
+        pool = collections.deque(i for i in order if i in pending)
         initial_chunk = max(1, math.ceil(len(pool) / (4 * self.shards)))
         next_id = first_id
         #: Chunks whose retry is scheduled for the future: a min-heap of

@@ -85,12 +85,11 @@ def _tournament_cost(trial_index: int, params) -> float:
 
     cells = tournament_cells(params)
     _, defense, attacker, budget = cells[trial_index % len(cells)]
-    try:
-        defense_cost = get_defense(defense).cost
-        attacker_cost = get_attacker(attacker).cost
-    except KeyError:
-        return 1.0  # unknown cell names fail in the trial, not the hint
-    return defense_cost * attacker_cost * max(float(budget), 1.0)
+    return (
+        get_defense(defense).cost
+        * get_attacker(attacker).cost
+        * max(float(budget), 1.0)
+    )
 
 
 @scenario(

@@ -1,9 +1,9 @@
 """Engine/registry/CLI behaviour of ``repro lint``.
 
 Covers the pieces the fixture corpus does not: registry invariants,
-pragma parsing edge cases, baseline round-trips, select/ignore
-filtering, fingerprint stability under line drift, the CLI surface and
-the pinned JSON schema (the future run-database service ingests it).
+pragma parsing edge cases, select/ignore filtering, findings that follow
+line drift, the CLI surface and the pinned JSON schema (the future
+run-database service ingests it).
 """
 
 import ast
@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.analysis.lint import (
-    Baseline,
+    FileContext,
     Pragmas,
     run_lint,
     to_json_text,
@@ -36,9 +36,7 @@ from repro.cli import main
 def test_rule_ids_sorted_and_complete():
     ids = rule_ids()
     assert ids == sorted(ids)
-    assert ids == [f"REP{n:03d}" for n in range(1, 9)] + [
-        f"REP{n}" for n in range(101, 105)
-    ]
+    assert ids == [f"REP{n:03d}" for n in range(1, 9)]
 
 
 def test_rules_carry_docs_metadata():
@@ -107,7 +105,7 @@ def test_file_pragma_waives_rule_everywhere():
 
 
 # --------------------------------------------------------------------- #
-# baseline round-trip + fingerprint stability
+# name resolution
 # --------------------------------------------------------------------- #
 
 BAD_SNIPPET = (
@@ -118,54 +116,17 @@ BAD_SNIPPET = (
 )
 
 
-def test_baseline_save_load_round_trip(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(BAD_SNIPPET)
-    report = run_lint([target], root=tmp_path, select=["REP003"])
-    assert len(report.findings) == 1
-    base_path = tmp_path / "baseline.json"
-    Baseline.from_findings(report.findings).save(base_path)
-    reloaded = Baseline.load(base_path)
-    again = run_lint(
-        [target], root=tmp_path, select=["REP003"], baseline=reloaded
-    )
-    assert again.findings == []
-    assert again.baselined == 1
-
-
-def test_baseline_load_rejects_wrong_version(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"version": 99, "findings": {}}))
-    with pytest.raises(ValueError, match="version"):
-        Baseline.load(bad)
-
-
-def test_missing_baseline_file_loads_empty(tmp_path):
-    base = Baseline.load(tmp_path / "absent.json")
-    assert base.fingerprints == {}
-
-
-def test_fingerprint_survives_line_drift(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(BAD_SNIPPET)
-    before = run_lint([target], root=tmp_path, select=["REP003"])
-    target.write_text("# an unrelated comment above\n" + BAD_SNIPPET)
-    after = run_lint([target], root=tmp_path, select=["REP003"])
-    assert before.findings[0].line != after.findings[0].line
-    assert before.findings[0].fingerprint == after.findings[0].fingerprint
-
-
-def test_duplicate_lines_get_distinct_fingerprints(tmp_path):
+def test_file_context_qualname_resolves_aliases(tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(
-        "import os\n"
-        'a = os.getenv("X")\n'
-        'a = os.getenv("X")\n'
+        "import numpy as np\n"
+        "x = np.random.default_rng(0)\n"
     )
-    report = run_lint([target], root=tmp_path, select=["REP003"])
-    prints = [f.fingerprint for f in report.findings]
-    assert len(prints) == 2
-    assert len(set(prints)) == 2
+    ctx = FileContext(target, "mod.py", target.read_text())
+    call = next(
+        node for node in ast.walk(ctx.tree) if isinstance(node, ast.Call)
+    )
+    assert ctx.qualname(call.func) == "numpy.random.default_rng"
 
 
 # --------------------------------------------------------------------- #
@@ -205,8 +166,8 @@ def test_cli_exit_codes_and_text_output(tmp_path, capsys):
     dirty.write_text(BAD_SNIPPET)
     clean = tmp_path / "clean.py"
     clean.write_text("VALUE = 1\n")
-    assert main(["lint", str(clean), "--baseline", "none"]) == 0
-    assert main(["lint", str(dirty), "--baseline", "none"]) == 1
+    assert main(["lint", str(clean)]) == 0
+    assert main(["lint", str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "REP003" in out
     assert "hint:" in out
@@ -215,35 +176,33 @@ def test_cli_exit_codes_and_text_output(tmp_path, capsys):
 def test_cli_select_and_list_rules(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(BAD_SNIPPET)
-    assert main(
-        ["lint", str(dirty), "--select", "REP001", "--baseline", "none"]
-    ) == 0
+    assert main(["lint", str(dirty), "--select", "REP001"]) == 0
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "unseeded-rng" in out and "REP008" in out
 
 
-def test_cli_write_baseline_then_green(tmp_path, capsys):
-    dirty = tmp_path / "dirty.py"
-    dirty.write_text(BAD_SNIPPET)
-    base = tmp_path / "baseline.json"
-    assert main(
-        ["lint", str(dirty), "--baseline", str(base), "--write-baseline"]
-    ) == 0
-    assert base.exists()
-    # Grandfathered finding: gated run is green; dropping the baseline
-    # resurfaces it.
-    assert main(["lint", str(dirty), "--baseline", str(base)]) == 0
-    capsys.readouterr()
-    assert main(["lint", str(dirty), "--baseline", "none"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["--flow"],
+    ["--baseline", "lint-baseline.json"],
+    ["--write-baseline"],
+    ["--ratchet", "old.json"],
+])
+def test_cli_has_no_flow_or_baseline_options(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", *argv])
+    assert exc.value.code == 2
+
+
+def test_cli_graph_is_not_a_mode(capsys):
+    assert main(["lint", "graph", "repro.cli.main"]) == 2
+    assert "not a python file or directory: graph" in capsys.readouterr().err
 
 
 def test_cli_stats_output(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(BAD_SNIPPET)
-    assert main(
-        ["lint", str(dirty), "--baseline", "none", "--stats"]
-    ) == 1
+    assert main(["lint", str(dirty), "--stats"]) == 1
     out = capsys.readouterr().out
     assert "findings per rule" in out
     assert "findings per package" in out
@@ -256,49 +215,26 @@ def test_cli_stats_output(tmp_path, capsys):
 def test_json_schema_is_stable(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
     dirty.write_text(BAD_SNIPPET)
-    assert main(
-        ["lint", str(dirty), "--format", "json", "--baseline", "none"]
-    ) == 1
+    assert main(["lint", str(dirty), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {
         "version", "tool", "files_checked", "findings", "stats",
-        "parse_errors", "graph", "dead_suppressions",
+        "parse_errors", "dead_suppressions",
     }
-    assert payload["version"] == 2
+    assert payload["version"] == 3
     assert payload["tool"] == "repro-lint"
     assert payload["files_checked"] == 1
-    assert payload["graph"] is None  # flow phase off by default
     (finding,) = payload["findings"]
     assert set(finding) == {
-        "path", "line", "col", "rule", "message", "hint", "fingerprint",
+        "path", "line", "col", "rule", "message", "hint",
     }
     assert finding["rule"] == "REP003"
     assert finding["line"] == 4 and finding["col"] >= 1
     assert set(payload["stats"]) == {
-        "total", "by_rule", "by_package", "suppressed", "baselined",
-        "files_checked", "dead_suppressions",
+        "total", "by_rule", "by_package", "suppressed", "files_checked",
+        "dead_suppressions",
     }
     assert payload["stats"]["by_rule"] == {"REP003": 1}
-
-
-def test_json_graph_payload_under_flow(tmp_path, capsys):
-    target = tmp_path / "mod.py"
-    target.write_text("def helper():\n    return 1\n")
-    assert main(
-        ["lint", str(target), "--flow", "--format", "json",
-         "--baseline", "none"]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    graph = payload["graph"]
-    assert set(graph) == {
-        "modules", "functions", "call_edges", "external_calls",
-        "unresolved_calls", "entries",
-    }
-    assert graph["modules"] == 1 and graph["functions"] == 1
-    assert set(graph["entries"]) == {
-        "scenario_entries", "worker_entries", "coordinator_entries",
-        "scenario_reachable", "worker_reachable", "coordinator_reachable",
-    }
 
 
 def test_to_json_text_is_deterministic(tmp_path):
@@ -325,7 +261,7 @@ def test_rules_are_pure_ast_checks(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# fingerprint robustness under line drift
+# findings follow line drift
 # --------------------------------------------------------------------- #
 
 DRIFT_SNIPPETS = {
@@ -359,18 +295,17 @@ DRIFT_SNIPPETS = {
 
 
 @pytest.mark.parametrize("shape", sorted(DRIFT_SNIPPETS))
-def test_fingerprints_stable_under_line_drift(shape, tmp_path):
+def test_findings_follow_line_drift(shape, tmp_path):
     target = tmp_path / "mod.py"
     target.write_text(DRIFT_SNIPPETS[shape])
     before = run_lint([target], root=tmp_path, select=["REP003"])
     assert before.findings, f"snippet {shape!r} produced no findings"
     target.write_text("# drift\n# drift\n" + DRIFT_SNIPPETS[shape])
     after = run_lint([target], root=tmp_path, select=["REP003"])
-    assert [f.fingerprint for f in before.findings] == [
-        f.fingerprint for f in after.findings
-    ]
+    assert len(after.findings) == len(before.findings)
     for old, new in zip(before.findings, after.findings):
         assert new.line == old.line + 2
+        assert (new.col, new.message) == (old.col, old.message)
 
 
 # --------------------------------------------------------------------- #
@@ -380,7 +315,7 @@ def test_fingerprints_stable_under_line_drift(shape, tmp_path):
 def _dead_of_kind(report, kind):
     # Linting one tmp file legitimately reports the selected rule's
     # repo-tree exempt paths as unmatched; these tests care about the
-    # pragma/baseline kinds only.
+    # pragma kinds only.
     return [d for d in report.dead_suppressions if d["kind"] == kind]
 
 
@@ -420,21 +355,6 @@ def test_pragma_in_docstring_is_inert(tmp_path):
     assert _dead_of_kind(report, "noqa") == []
 
 
-def test_dead_baseline_entry_is_reported(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("import os\n" 'a = os.getenv("X")\n')
-    first = run_lint([target], root=tmp_path, select=["REP003"])
-    baseline = Baseline.from_findings(first.findings)
-    target.write_text("VALUE = 1\n")  # the violation is gone
-    second = run_lint(
-        [target], root=tmp_path, select=["REP003"], baseline=baseline
-    )
-    assert second.findings == []
-    assert [d["kind"] for d in _dead_of_kind(second, "baseline")] == [
-        "baseline"
-    ]
-
-
 def test_dead_exempt_path_is_reported(tmp_path):
     spec = LintRule(
         id="REP902", name="t", summary="t", hint="t",
@@ -455,92 +375,35 @@ def test_dead_exempt_path_is_reported(tmp_path):
 def test_cli_check_suppressions_gates(tmp_path, capsys):
     target = tmp_path / "mod.py"
     target.write_text("VALUE = 1  # repro: noqa[REP003]\n")
+    assert main(["lint", str(target), "--select", "REP003"]) == 0
     assert main(
-        ["lint", str(target), "--baseline", "none", "--select", "REP003"]
-    ) == 0
-    assert main(
-        ["lint", str(target), "--baseline", "none", "--select", "REP003",
-         "--check-suppressions"]
+        ["lint", str(target), "--select", "REP003", "--check-suppressions"]
     ) == 1
     out = capsys.readouterr().out
     assert "dead suppressions" in out
 
 
-# --------------------------------------------------------------------- #
-# baseline ratchet
-# --------------------------------------------------------------------- #
-
-def test_baseline_gained_over():
-    old = Baseline(fingerprints={"aa": {"rule": "REP003"}})
-    same = Baseline(fingerprints={"aa": {"rule": "REP003"}})
-    grown = Baseline(
-        fingerprints={"aa": {"rule": "REP003"}, "bb": {"rule": "REP007"}}
-    )
-    shrunk = Baseline(fingerprints={})
-    assert same.gained_over(old) == []
-    assert grown.gained_over(old) == ["bb"]
-    assert shrunk.gained_over(old) == []
-
-
-def test_cli_ratchet_fails_on_growth(tmp_path, capsys, monkeypatch):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    old = tmp_path / "old-baseline.json"
-    Baseline(fingerprints={"aa": {"rule": "REP003", "path": "x.py"}}).save(old)
-    Baseline(
-        fingerprints={
-            "aa": {"rule": "REP003", "path": "x.py"},
-            "bb": {"rule": "REP007", "path": "y.py"},
-        }
-    ).save(repo / "lint-baseline.json")
-    import repro.analysis.lint.engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "_REPO_ROOT", repo)
-    assert main(["lint", "--ratchet", str(old)]) == 1
-    out = capsys.readouterr().out
-    assert "gained" in out and "bb" in out
-    # Shrinking (or staying equal) passes.
-    Baseline(fingerprints={}).save(repo / "lint-baseline.json")
-    assert main(["lint", "--ratchet", str(old)]) == 0
-    assert "ratchet ok" in capsys.readouterr().out
-
-
-# --------------------------------------------------------------------- #
-# graph debug command
-# --------------------------------------------------------------------- #
-
-def test_cli_graph_prints_callers_callees_and_facts(tmp_path, capsys,
-                                                    monkeypatch):
+@pytest.mark.parametrize("rule_id", ["REP101", "REP102", "REP103", "REP104"])
+def test_retired_flow_rule_ids_are_unknown(rule_id, tmp_path, capsys):
     target = tmp_path / "mod.py"
-    target.write_text(
-        "def outer():  # repro: flow-entry[coordinator]\n"
-        "    return inner()\n"
-        "\n"
-        "def inner():\n"
-        "    return 1\n"
-    )
-    import repro.analysis.lint.engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "_REPO_ROOT", tmp_path)
-    assert main(["lint", "graph", "mod.inner", str(target)]) == 0
-    out = capsys.readouterr().out
-    assert "mod.inner" in out
-    assert "<- mod.outer" in out
-    assert "coordinator-reachable" in out
-
-
-def test_cli_graph_unknown_symbol_is_user_error(tmp_path, capsys):
-    target = tmp_path / "mod.py"
-    target.write_text("def f():\n    return 1\n")
-    assert main(["lint", "graph", "no.such.symbol", str(target)]) == 2
-    assert "unknown symbol" in capsys.readouterr().err
+    target.write_text(f"VALUE = 1  # repro: noqa[{rule_id}]\n")
+    assert main(["lint", str(target), "--select", rule_id]) == 2
+    assert main(["lint", str(target), "--ignore", rule_id]) == 2
+    assert f"unknown lint rule '{rule_id}'" in capsys.readouterr().err
+    # A pragma still naming a retired rule waives nothing: the audit
+    # reports it for deletion.
+    report = run_lint([target], root=tmp_path)
+    assert report.findings == []
+    assert [(d["kind"], d["line"]) for d in _dead_of_kind(report, "noqa")] == [
+        ("noqa", 1)
+    ]
 
 
 # --------------------------------------------------------------------- #
-# flow determinism (byte-identical across runs and hash seeds)
+# determinism (byte-identical across runs and hash seeds)
 # --------------------------------------------------------------------- #
 
-def test_flow_json_deterministic_across_hash_seeds(tmp_path):
+def test_json_deterministic_across_hash_seeds(tmp_path):
     import os
     import subprocess
     import sys
@@ -549,7 +412,7 @@ def test_flow_json_deterministic_across_hash_seeds(tmp_path):
         "import json, pathlib, sys\n"
         "from repro.analysis.lint import run_lint, to_json_text\n"
         "root = pathlib.Path(sys.argv[1])\n"
-        "report = run_lint([root / 'src'], root=root, flow=True)\n"
+        "report = run_lint([root / 'src'], root=root)\n"
         "sys.stdout.write(to_json_text(report))\n"
     )
     from repro.analysis.lint import repo_root
@@ -566,4 +429,4 @@ def test_flow_json_deterministic_across_hash_seeds(tmp_path):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     payload = json.loads(outputs[0])
-    assert payload["graph"]["functions"] > 500
+    assert payload["files_checked"] > 80

@@ -1,28 +1,107 @@
-"""The repo lints itself clean: ``repro lint --flow src/`` has no live findings.
+"""The repo lints itself clean: ``repro lint src/`` has no live findings.
 
-This is the regression gate behind the CI ``lint`` job: every REP rule —
-per-file *and* the whole-program REP1xx flow tier — run over every file
-under ``src/repro`` must come back empty after the committed baseline
-(grandfathered findings) is applied. A new violation anywhere in
-``src/`` fails this test with the full diagnostic text.
+This is the regression gate behind the CI ``lint`` job: every REP rule
+run over every file under ``src/repro`` must come back empty, with
+reviewed inline pragmas the only suppressions.  A new violation anywhere
+in ``src/`` fails this test with the full diagnostic text.
+
+It also proves REP001 reaches every RNG constructor in ``src/``: each
+site, re-seeded from a constant, must draw exactly one finding on its
+own line, wherever in the tree it sits.
 """
+
+import ast
 
 import pytest
 
 from repro.analysis.lint import repo_root, run_lint
 
+PACKAGE = repo_root() / "src" / "repro"
+
+# Spelled as src/ writes them; found without the linter's own name
+# resolution, so a resolution regression cannot shrink the population.
+_RNG_SPELLINGS = {
+    "np.random.default_rng",
+    "np.random.Generator",
+    "np.random.SeedSequence",
+    "random.Random",
+}
+
+
+def _seed_sites():
+    """(test id, path, call line, seed expression) per seeded RNG call.
+
+    Skips ``nn/seeding.py`` (REP001's exempt fallback module) and lines
+    that already carry a reviewed ``noqa`` pragma for a constant seed.
+    """
+    sites = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        relpath = path.relative_to(PACKAGE).as_posix()
+        if relpath == "nn/seeding.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        seen: dict[str, int] = {}
+        calls = sorted(
+            _calls_by_scope(ast.parse(text)),
+            key=lambda item: (item[1].lineno, item[1].col_offset),
+        )
+        for qual, call in calls:
+            if ast.unparse(call.func) not in _RNG_SPELLINGS:
+                continue
+            if "repro: noqa" in lines[call.lineno - 1]:
+                continue
+            seed = call.args[0] if call.args else next(
+                (kw.value for kw in call.keywords if kw.arg == "seed"), None
+            )
+            if seed is None:
+                continue
+            seen[qual] = seen.get(qual, 0) + 1
+            site_id = f"{relpath}:{qual}"
+            if seen[qual] > 1:
+                site_id += f"#{seen[qual]}"
+            sites.append((site_id, path, call.lineno, seed))
+    return sites
+
+
+def _calls_by_scope(tree):
+    """Every Call with the dotted name of its enclosing def/class chain."""
+    stack = [("<module>", tree)]
+    while stack:
+        qual, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = child.name if qual == "<module>" else (
+                    f"{qual}.{child.name}"
+                )
+                stack.append((inner, child))
+                continue
+            if isinstance(child, ast.Call):
+                yield qual, child
+            stack.append((qual, child))
+
+
+def _reseed_from_constant(path, seed):
+    """The file's source with ``seed``'s expression replaced by ``0``."""
+    raw = path.read_bytes()
+    starts = [0]
+    for line in raw.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    # ast offsets are UTF-8 byte columns, so splice bytes, not chars.
+    begin = starts[seed.lineno - 1] + seed.col_offset
+    end = starts[seed.end_lineno - 1] + seed.end_col_offset
+    return (raw[:begin] + b"0" + raw[end:]).decode()
+
+
+SEED_SITES = _seed_sites()
+
 
 @pytest.fixture(scope="module")
 def report():
-    """One whole-program lint of ``src/``, shared by the module's tests."""
+    """One lint of ``src/``, shared by the module's tests."""
     root = repo_root()
-    baseline = root / "lint-baseline.json"
-    return run_lint(
-        [root / "src"],
-        root=root,
-        baseline=baseline if baseline.exists() else None,
-        flow=True,
-    )
+    return run_lint([root / "src"], root=root)
 
 
 def test_src_tree_has_no_live_findings(report):
@@ -37,53 +116,28 @@ def test_src_tree_was_actually_scanned(report):
     assert report.files_checked > 80
 
 
-def test_baseline_is_not_a_dumping_ground(report):
-    # The committed baseline exists to ramp new rules in, not to bury
-    # violations forever; keep it empty-or-tiny and force a conscious
-    # review when it grows.
-    assert report.baselined <= 5
-
-
-def test_flow_graph_covers_the_tree(report):
-    graph = report.graph
-    assert graph is not None
-    # Every module parsed lands in the index, and the call graph is
-    # substantial: real edges, measured dynamic blind spots, and
-    # non-empty entry-point partitions for the REP1xx rules.
-    assert graph["modules"] == report.files_checked
-    assert graph["functions"] > 500
-    assert graph["call_edges"] > 500
-    assert graph["unresolved_calls"] > 0  # counted, never silently dropped
-    entries = graph["entries"]
-    assert entries["scenario_entries"] > 10
-    assert entries["worker_entries"] > entries["scenario_entries"]
-    assert entries["coordinator_entries"] >= 5
-    assert entries["worker_reachable"] >= entries["worker_entries"]
-
-
-def test_every_function_def_is_a_graph_node():
-    from repro.analysis.lint.engine import build_index
-
-    root = repo_root()
-    index, parse_errors = build_index([root / "src"], root=root)
-    assert parse_errors == []
-    import ast
-
-    for module in index.modules.values():
-        want = sum(
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(module.ctx.tree)
-        )
-        have = sum(
-            1 for fn in index.functions.values()
-            if fn.module == module.name and not fn.is_module_body
-        )
-        assert have == want, (
-            f"{module.name}: {want} function defs in the AST but "
-            f"{have} call-graph nodes"
-        )
-
-
 def test_no_dead_suppressions(report):
     # A pragma or rule exemption that suppresses nothing is stale.
     assert report.dead_suppressions == []
+
+
+def test_seed_sites_were_actually_found():
+    # Same vacuity guard for the mutation cases below.
+    assert len(SEED_SITES) > 30
+    assert len({site_id for site_id, *_ in SEED_SITES}) == len(SEED_SITES)
+
+
+@pytest.mark.parametrize(
+    "path,line,seed",
+    [site[1:] for site in SEED_SITES],
+    ids=[site[0] for site in SEED_SITES],
+)
+def test_constant_seed_at_each_src_site_is_flagged(path, line, seed,
+                                                   tmp_path):
+    mutant = tmp_path / "repro" / path.relative_to(PACKAGE)
+    mutant.parent.mkdir(parents=True)
+    mutant.write_text(_reseed_from_constant(path, seed))
+    report = run_lint([mutant], root=tmp_path, select=["REP001"])
+    assert report.parse_errors == []
+    assert [f.line for f in report.findings] == [line]
+    assert "seeded from a constant" in report.findings[0].message

@@ -270,7 +270,7 @@ class TestRadarDefense:
         assert radar.stats.notes["detection_ns"] == int(round(expected))
 
     def test_controller_hook_attach_detach(self, fresh_quantized):
-        """REP004/REP104: the activate hook must detach on close()."""
+        """REP004's contract: the activate hook must detach on close()."""
         controller = MemoryController(
             DramDevice(DramGeometry(
                 banks=2, subarrays_per_bank=4, rows_per_subarray=32,

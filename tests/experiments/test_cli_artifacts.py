@@ -1,12 +1,15 @@
 """CLI surface and JSON artifacts (cheap scenarios only)."""
 
 import json
+import warnings
 
 import pytest
 
 from repro.cli import _parse_params, main
+from repro.defenses.registry import get_defense
 from repro.experiments import load_artifact, run_scenario, write_artifact
 from repro.experiments.artifacts import default_results_dir
+from repro.experiments.tournament import tournament_cells
 
 
 class TestParamParsing:
@@ -160,6 +163,30 @@ class TestSchedulerFlags:
     def test_chunk_worker_flag_validation(self, argv, tmp_path):
         with pytest.raises(SystemExit):
             main(argv + ["--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("param,serial_error", [
+        ("attackers=", lambda: tournament_cells({"attackers": ""})),
+        ("defenses=nope", lambda: get_defense("nope")),
+    ], ids=["empty-attackers", "unknown-defense"])
+    def test_bad_roster_fails_before_any_worker_launches(
+        self, param, serial_error, tmp_path, capsys
+    ):
+        # The serial trial raises exactly this error; the sharded
+        # scheduler must report it the same way, not retry workers on it.
+        with pytest.raises((KeyError, ValueError)) as exc:
+            serial_error()
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([
+                "run", "tournament-matrix", "--param", param,
+                "--backend", "sharded", "--shards", "2", "--trials", "2",
+                "--retries", "1", "--out", str(out), "--quiet",
+            ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {exc.value.args[0]}\n"
+        # No chunk stream, log or workdir: the error came first.
+        assert not out.exists()
 
     def test_chunk_worker_streams_and_merge_discovers_chunks(
         self, tmp_path, capsys

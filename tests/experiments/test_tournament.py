@@ -69,10 +69,14 @@ class TestCost:
             3 + len(cells), {}
         )
 
-    def test_unknown_cell_name_costs_one(self):
-        assert _tournament_cost(
-            0, {"defenses": "not-a-defense"}
-        ) == pytest.approx(1.0)
+    @pytest.mark.parametrize("axis,kind", [
+        ("defenses", "defense"), ("attackers", "attacker"),
+    ])
+    def test_unknown_cell_name_raises_the_registry_error(self, axis, kind):
+        # The sharded scheduler reads the hint before any worker launches,
+        # so a bad name must fail here, as the serial trial does.
+        with pytest.raises(KeyError, match=f"unknown {kind} 'nope'"):
+            _tournament_cost(0, {axis: "nope"})
 
 
 class TestMatrixRows:
