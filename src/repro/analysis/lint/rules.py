@@ -84,15 +84,21 @@ def expr_names(expr: ast.AST) -> set[str]:
     }
 
 
-def param_derived_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+def param_derived_names(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+    enclosing: Iterable[str] = (),
+) -> set[str]:
     """Names that (transitively) derive from the function's parameters.
 
-    Seeded with every parameter, then closed over the function scope's
-    straight-line ``Assign``/``AnnAssign``/``AugAssign`` statements and
-    walrus bindings: a target joins the set when any name in its value
-    is already in it.  Control flow is ignored (any-path
-    over-approximation): the rule prefers staying silent over flagging
-    a value that *might* be threaded from the caller.
+    Seeded with every parameter and with ``enclosing``, the derived
+    names of the function a nested ``def`` sits in (its closure reads
+    them), then closed over the function scope's straight-line
+    ``Assign``/``AnnAssign``/``AugAssign`` statements, walrus bindings,
+    and ``for``/``async for`` and comprehension targets: a target joins
+    the set when any name in its value (a loop's iterable) is already in
+    it.  Control flow is ignored (any-path over-approximation): the rule
+    prefers staying silent over flagging a value that *might* be
+    threaded from the caller.
     """
     args = fn.args
     derived = {
@@ -103,6 +109,7 @@ def param_derived_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
         derived.add(args.vararg.arg)
     if args.kwarg is not None:
         derived.add(args.kwarg.arg)
+    derived.update(enclosing)
     changed = True
     while changed:
         changed = False
@@ -112,10 +119,10 @@ def param_derived_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
                 value, targets = node.value, list(node.targets)
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 value, targets = node.value, [node.target]
-            elif isinstance(node, ast.AugAssign):
+            elif isinstance(node, (ast.AugAssign, ast.NamedExpr)):
                 value, targets = node.value, [node.target]
-            elif isinstance(node, ast.NamedExpr):
-                value, targets = node.value, [node.target]
+            elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                value, targets = node.iter, [node.target]
             else:
                 continue
             if not (expr_names(value) & derived):
@@ -156,7 +163,16 @@ def _seed_arg(node: ast.Call) -> ast.AST | None:
     exempt=("nn/seeding.py",),
 )
 def check_unseeded_rng(ctx):
-    derived: dict[ast.AST | None, set[str]] = {}
+    derived: dict[ast.AST | None, set[str]] = {None: set()}
+
+    def derived_in(fn: ast.AST | None) -> set[str]:
+        """``fn``'s derived names, a nested def's seeded with its outer
+        function's."""
+        if fn not in derived:
+            outer = derived_in(ctx.enclosing_function(fn))
+            derived[fn] = param_derived_names(fn, outer)
+        return derived[fn]
+
     for node in ctx.walk(ast.Call):
         qual = ctx.qualname(node.func)
         if qual is None:
@@ -171,9 +187,7 @@ def check_unseeded_rng(ctx):
                 yield node, message
                 continue
             fn = ctx.enclosing_function(node)
-            if fn not in derived:
-                derived[fn] = param_derived_names(fn) if fn else set()
-            if not (expr_names(seed) & derived[fn]):
+            if not (expr_names(seed) & derived_in(fn)):
                 where = f"{fn.name}()" if fn else "module scope"
                 yield node, (
                     f"{shown}(...) in {where} is seeded from a constant or "

@@ -11,7 +11,10 @@ minimal Hamming-distance budget.
 
 Each forward pass runs once, and only when something reads it.  The
 gradient pass captures every forward segment's input, so a candidate's
-exact evaluation resumes the forward at the segment owning its layer.
+exact evaluation resumes the forward at the segment owning its layer,
+and a search keeps its last gradient pass, so the next one runs nothing
+after a blocked flip and resumes at the first changed segment after a
+landed one.
 :meth:`BitFlipAttack.steps` is the one search loop and evaluates accuracy
 only for the ``stop_accuracy`` rule; :meth:`BitFlipAttack.run` adds the
 per-attempt accuracy curve, and :meth:`BitFlipAttack.run_endpoints` only
@@ -33,7 +36,7 @@ import numpy as np
 
 from repro.attacks.executor import FlipExecutor, SoftwareFlipExecutor
 from repro.nn.quant import BitLocation, QuantizedModel
-from repro.nn.train import evaluate, loss_and_grads
+from repro.nn.train import GradientMemo, evaluate, loss_and_grads
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn import functional as F
 
@@ -281,12 +284,19 @@ class BitFlipAttack:
         self.qmodel.flip_bit(location)  # revert: restores the floats exactly
         return loss
 
-    def _select_flip(self) -> tuple[BitLocation, float] | None:
-        """One full inter/intra-layer search step; returns (bit, est gain)."""
+    def _select_flip(
+        self, memo: GradientMemo | None = None
+    ) -> tuple[BitLocation, float] | None:
+        """One full inter/intra-layer search step; returns (bit, est gain).
+
+        ``memo`` carries the search's last gradient pass, so this one runs
+        only from the first segment that changed since.
+        """
         inputs: list[np.ndarray] = []
         # Also leaves the model in eval mode for the exact evaluations.
         loss_and_grads(
-            self.qmodel.model, self.attack_x, self.attack_y, inputs=inputs
+            self.qmodel.model, self.attack_x, self.attack_y, inputs=inputs,
+            memo=memo,
         )
         per_layer = []
         for layer_index in range(self.qmodel.num_layers):
@@ -321,19 +331,31 @@ class BitFlipAttack:
         is set, because the stop rule reads it; otherwise nothing is
         evaluated and ``accuracy_after`` is ``None``.  Callers that need
         only the flips iterate this directly.
+
+        The search keeps its last gradient pass in a
+        :class:`~repro.nn.train.GradientMemo`: after a blocked flip the
+        next pass runs nothing, and after a landed one it runs from the
+        first segment that changed.  The memo is emptied when the search
+        returns, raises or is closed, so no graph outlives it.
         """
         stop = self.config.stop_accuracy
-        for iteration in range(self.config.max_iterations):
-            selected = self._select_flip()
-            if selected is None:
-                return  # no loss-increasing candidate remains
-            location, estimate = selected
-            succeeded = self.executor.execute(location)
-            self._mark_tried(location)
-            accuracy = None if stop is None else self.evaluate_accuracy()
-            yield FlipAttempt(iteration, location, estimate, succeeded, accuracy)
-            if accuracy is not None and accuracy <= stop:
-                return
+        memo = GradientMemo()
+        try:
+            for iteration in range(self.config.max_iterations):
+                selected = self._select_flip(memo)
+                if selected is None:
+                    return  # no loss-increasing candidate remains
+                location, estimate = selected
+                succeeded = self.executor.execute(location)
+                self._mark_tried(location)
+                accuracy = None if stop is None else self.evaluate_accuracy()
+                yield FlipAttempt(
+                    iteration, location, estimate, succeeded, accuracy
+                )
+                if accuracy is not None and accuracy <= stop:
+                    return
+        finally:
+            memo.clear()
 
     def run(self) -> AttackResult:
         """The search with its accuracy curve: one evaluation before it and

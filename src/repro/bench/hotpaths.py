@@ -28,6 +28,11 @@ never a slow twin kept only for the comparison:
   (``start=0``) vs forwards resumed at each flipped layer's segment from
   the inputs the gradient pass captured; parity demands bitwise-equal
   losses.
+* ``bfa_gradient_pass`` — the BFA's gradient pass after a committed
+  classifier-bit flip: a fresh pass vs the search's
+  :class:`~repro.nn.train.GradientMemo` pass, which resumes the forward
+  at the classifier; parity demands an equal loss and equal bytes in
+  every parameter's gradient.
 
 Every pair is parity-checked during the run: the two variants must
 produce identical functional results, and the recorded ``parity`` flag
@@ -63,7 +68,7 @@ from repro.dram import (
 from repro.mapping import build_protection_plan, place_model
 from repro.nn import QuantizedModel, make_resnet20
 from repro.nn.quant import BitLocation
-from repro.nn.train import loss_and_grads
+from repro.nn.train import GradientMemo, loss_and_grads
 
 __all__ = ["HOTPATH_BENCHMARKS", "run_hotpath_suite", "format_suite"]
 
@@ -116,6 +121,14 @@ def _bench_model(seed: int = 0, width_scale: float = 0.5) -> QuantizedModel:
     return QuantizedModel(
         make_resnet20(num_classes=10, width_scale=width_scale, seed=seed)
     )
+
+
+def _attack_batch() -> tuple[np.ndarray, np.ndarray]:
+    """A trial-sized attack batch: 96 samples of 8x8, 10 classes."""
+    # A fixed benchmark input, not a trial: every run times the same batch.
+    rng = np.random.default_rng(0)  # repro: noqa[REP001]
+    x = rng.standard_normal((96, 3, 8, 8)).astype(np.float32)
+    return x, rng.integers(0, 10, size=96)
 
 
 def _bench_layout(qmodel: QuantizedModel):
@@ -381,10 +394,7 @@ def bench_bfa_exact_eval(quick: bool) -> dict:
     """
     reps = 5 if quick else 20
     qmodel = _bench_model()
-    # A fixed benchmark input, not a trial: every run times the same batch.
-    rng = np.random.default_rng(0)  # repro: noqa[REP001]
-    x = rng.standard_normal((96, 3, 8, 8)).astype(np.float32)
-    y = rng.integers(0, 10, size=96)
+    x, y = _attack_batch()
     attack = BitFlipAttack(qmodel, x, y)
     inputs: list[np.ndarray] = []
     loss_and_grads(qmodel.model, x, y, inputs=inputs)
@@ -412,6 +422,51 @@ def bench_bfa_exact_eval(quick: bool) -> dict:
     )
 
 
+def bench_bfa_gradient_pass(quick: bool) -> dict:
+    """BFA gradient pass: fresh vs resumed at the classifier.
+
+    On a trial-sized attack batch (96 samples of 8x8), each rep commits
+    one more classifier-bit flip (untimed), then runs a fresh pass
+    (``before``) and the next pass of one :class:`GradientMemo`
+    (``after``), which keeps the forward through every earlier segment;
+    the two alternate which runs first.  Parity demands an equal loss
+    and equal bytes in every parameter's gradient.
+    """
+    reps = 5 if quick else 20
+    qmodel = _bench_model()
+    model = qmodel.model
+    x, y = _attack_batch()
+    classifier = qmodel.num_layers - 1
+    memo = GradientMemo()
+    times: dict[bool, list[float]] = {False: [], True: []}
+    results = {}
+    for rep in range(reps + 2):  # the first rep warms caches
+        qmodel.flip_bit(BitLocation(classifier, rep, 6))
+        for with_memo in (rep % 2 == 0, rep % 2 == 1):
+            start = time.perf_counter()
+            loss = loss_and_grads(
+                model, x, y, memo=memo if with_memo else None
+            )
+            elapsed = time.perf_counter() - start
+            if rep == reps + 1:  # untimed: the parity check
+                results[with_memo] = (
+                    loss, [p.grad.tobytes() for p in model.parameters()]
+                )
+            elif rep > 0:
+                times[with_memo].append(elapsed)
+    memo.clear()
+    parity = results[True] == results[False]
+    before, after = times[False], times[True]
+    return _entry(
+        "bfa_gradient_pass",
+        "BFA gradient pass after a committed classifier-bit flip "
+        "(ResNet-20, 96 samples): fresh vs resumed at the classifier",
+        reps,
+        {"before": _stats(before), "after": _stats(after)},
+        parity,
+    )
+
+
 HOTPATH_BENCHMARKS: dict[str, Callable[[bool], dict]] = {
     "sync_post_window": bench_sync_post_window,
     "multi_bit_window": bench_multi_bit_window,
@@ -419,6 +474,7 @@ HOTPATH_BENCHMARKS: dict[str, Callable[[bool], dict]] = {
     "defended_vs_undefended": bench_defended_vs_undefended,
     "timing_checker": bench_timing_checker,
     "bfa_exact_eval": bench_bfa_exact_eval,
+    "bfa_gradient_pass": bench_bfa_gradient_pass,
 }
 
 

@@ -35,7 +35,13 @@ from repro.nn.optim import SGD, default_decay_filter
 from repro.nn.seeding import UnseededRngWarning, fallback_rng
 from repro.nn.quant import BitLocation, QuantizedLayer, QuantizedModel
 from repro.nn.tensor import Parameter, Tensor, no_grad
-from repro.nn.train import evaluate, fit, loss_and_grads, predict_logits
+from repro.nn.train import (
+    GradientMemo,
+    evaluate,
+    fit,
+    loss_and_grads,
+    predict_logits,
+)
 
 __all__ = [
     "functional",
@@ -73,6 +79,7 @@ __all__ = [
     "Parameter",
     "Tensor",
     "no_grad",
+    "GradientMemo",
     "evaluate",
     "fit",
     "loss_and_grads",

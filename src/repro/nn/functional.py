@@ -347,8 +347,9 @@ def conv2d(
     def backward_fn(grad: np.ndarray) -> None:
         nonlocal cols, cols6
         if cols is None:
-            # Released to the pool by a previous backward; rebuild from
-            # the still-live input so a second backward still works.
+            # Released to the pool by a previous backward, such as the
+            # last pass of a GradientMemo that kept this graph; rebuild
+            # from the still-live input, gathering the same columns.
             cols6 = _POOL.acquire((n, c, kh, kw, oh, ow), x.data.dtype)
             cols = _im2col_into(
                 x.data, kh, kw, stride, padding, oh, ow, cols6

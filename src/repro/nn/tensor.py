@@ -241,17 +241,9 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------ #
 
-    def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
-        if not self.requires_grad:
-            raise RuntimeError("backward() on a tensor that requires no grad")
-        if grad is None:
-            if self.data.size != 1:
-                raise RuntimeError(
-                    "backward() without an explicit gradient requires a "
-                    f"scalar output, got shape {self.shape}"
-                )
-            grad = np.ones_like(self.data)
+    def graph(self) -> list["Tensor"]:
+        """This tensor and every tensor its gradient reaches, each after
+        its parents: the reverse of the order ``backward()`` visits."""
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -267,6 +259,20 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
+        return topo
+
+    def backward(self, grad: np.ndarray | None = None) -> None:
+        """Backpropagate from this tensor through the recorded graph."""
+        if not self.requires_grad:
+            raise RuntimeError("backward() on a tensor that requires no grad")
+        if grad is None:
+            if self.data.size != 1:
+                raise RuntimeError(
+                    "backward() without an explicit gradient requires a "
+                    f"scalar output, got shape {self.shape}"
+                )
+            grad = np.ones_like(self.data)
+        topo = self.graph()
         self.grad = np.asarray(grad, dtype=self.data.dtype)
         # Leaving the block joins the workers, also when a closure raises.
         with concurrent.futures.ThreadPoolExecutor(

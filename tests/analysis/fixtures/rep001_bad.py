@@ -4,6 +4,7 @@ import random
 import numpy as np
 
 SEED = 7
+SEEDS = (7, 8, 9)
 _NOISE = np.random.default_rng(42)  # expect[REP001]
 
 
@@ -45,3 +46,14 @@ class Jitter:
     def __init__(self, scale):
         self.scale = scale
         self.rng = np.random.Generator(np.random.PCG64(SEED))  # expect[REP001]
+
+
+def fixed_streams(n):
+    return [np.random.default_rng(s) for s in range(3)]  # expect[REP001]
+
+
+def constant_streams(n):
+    rngs = []
+    for seed in SEEDS:
+        rngs.append(np.random.default_rng(seed))  # expect[REP001]
+    return rngs

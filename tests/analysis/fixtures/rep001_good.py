@@ -34,3 +34,22 @@ class Jitter:
     # A fixed, documented seed routed through a parameter default.
     def __init__(self, seed=0):
         self.rng = np.random.Generator(np.random.PCG64(seed))
+
+
+def streams_from_loop(seeds):
+    rngs = []
+    for seed in seeds:
+        rngs.append(np.random.default_rng(seed))
+    return rngs
+
+
+def streams_from_comprehension(base, n):
+    return [np.random.default_rng(s) for s in range(base, base + n)]
+
+
+def make_sampler(seed):
+    child = seed + 1
+
+    def sample(n):
+        return np.random.default_rng(child).normal(size=n)
+    return sample

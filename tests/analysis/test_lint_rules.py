@@ -126,6 +126,11 @@ def test_expr_names_walks_whole_expression():
     ("a = 1\nb = a + seed\nc = b * 2", {"b", "c"}, {"a"}),
     ("(walrus := seed)", {"walrus"}, set()),
     ("fixed = 1234", set(), {"fixed"}),
+    ("for s in range(seed):\n    pass", {"s"}, set()),
+    ("streams = [s for s in range(seed)]", {"s", "streams"}, set()),
+    ("pairs = {a: b for a in seed for b in a}", {"a", "b"}, set()),
+    ("for k in range(3):\n    pass", set(), {"k"}),
+    ("constant = [k for k in range(3)]", set(), {"k", "constant"}),
 ])
 def test_param_derived_names_closure(body, derived, ambient):
     src = "def fn(seed):\n" + textwrap.indent(body, "    ") + "\n"
@@ -134,6 +139,23 @@ def test_param_derived_names_closure(body, derived, ambient):
     assert "seed" in got
     assert derived <= got
     assert not (ambient & got)
+
+
+def test_param_derived_names_async_for_and_nested_def():
+    outer = ast.parse(
+        "def outer(seed):\n"
+        "    base = seed + 1\n"
+        "    async def inner(n):\n"
+        "        async for s in stream(base):\n"
+        "            pass\n"
+        "        fixed = 3\n"
+    ).body[0]
+    inner = outer.body[1]
+    assert "base" in param_derived_names(outer)
+    assert "base" not in param_derived_names(inner)
+    got = param_derived_names(inner, param_derived_names(outer))
+    assert {"base", "s", "n"} <= got
+    assert "fixed" not in got
 
 
 # Seed shapes the fixture pair does not spell out, each linted as its own
