@@ -15,7 +15,9 @@ import numpy as np
 
 from repro.attacks.adaptive import white_box_adaptive_attack
 from repro.attacks.bfa import BfaConfig, BitFlipAttack
-from repro.attacks.executor import FlipExecutor, LogicalDefenseExecutor, SoftwareFlipExecutor
+from repro.attacks.executor import (
+    FlipExecutor, LogicalDefenseExecutor, SecuredRows, SoftwareFlipExecutor,
+)
 from repro.attacks.profile import profile_vulnerable_bits
 from repro.attacks.random_attack import random_bit_attack
 from repro.nn.data import Dataset
@@ -41,28 +43,18 @@ def expand_bits_to_rows(
     qmodel: QuantizedModel,
     bits: set[BitLocation],
     weights_per_row: int = 256,
-) -> set[BitLocation]:
+) -> SecuredRows:
     """Expand profiled bits to DRAM-row protection granularity.
 
     DNN-Defender protects *rows*, not individual bits: securing one
     profiled bit secures every weight bit sharing its row.  With the
     default 8 KiB rows a row holds thousands of 8-bit weights, which is
     why the paper's secured-bit counts (Fig. 9's 2k-311k "SB") are far
-    larger than the handful of profiled flips per round.
+    larger than the handful of profiled flips per round.  The result is
+    kept as the secured rows (:class:`SecuredRows`): it builds a
+    ``BitLocation`` per bit only when iterated.
     """
-    if weights_per_row < 1:
-        raise ValueError("weights_per_row must be >= 1")
-    rows = {(location.layer, location.index // weights_per_row)
-            for location in bits}
-    expanded: set[BitLocation] = set()
-    for layer, row in rows:
-        start = row * weights_per_row
-        end = min(start + weights_per_row, qmodel.layer(layer).num_weights)
-        expanded.update(
-            BitLocation(layer, index, bit)
-            for index in range(start, end) for bit in range(8)
-        )
-    return expanded
+    return SecuredRows(qmodel, bits, weights_per_row)
 
 
 # ---------------------------------------------------------------------- #

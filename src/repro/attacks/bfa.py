@@ -14,7 +14,10 @@ gradient pass captures every forward segment's input, so a candidate's
 exact evaluation resumes the forward at the segment owning its layer,
 and a search keeps its last gradient pass, so the next one runs nothing
 after a blocked flip and resumes at the first changed segment after a
-landed one.
+landed one.  When the pass ran nothing, the search also keeps its last
+step's layer champions and exact losses: it re-ranks only the tried
+bit's layer and exact-evaluates only shortlisted candidates it has no
+loss for.
 :meth:`BitFlipAttack.steps` is the one search loop and evaluates accuracy
 only for the ``stop_accuracy`` rule; :meth:`BitFlipAttack.run` adds the
 per-attempt accuracy curve, and :meth:`BitFlipAttack.run_endpoints` only
@@ -169,6 +172,12 @@ class BitFlipAttack:
         # mutation version (committed flips, collateral damage, restores).
         self._masks: dict[int, np.ndarray] = {}
         self._delta_cache: dict[int, tuple[int, np.ndarray]] = {}
+        # The search's last step, kept while its gradient memo runs
+        # nothing: each layer's champion (``None`` when it has no
+        # candidate; dropped when a bit of the layer is tried) and the
+        # exact loss of each candidate evaluated.
+        self._champions: dict[int, tuple[BitLocation, float] | None] = {}
+        self._losses: dict[BitLocation, float] = {}
 
     # ------------------------------------------------------------------ #
     # Candidate generation
@@ -220,11 +229,13 @@ class BitFlipAttack:
         return mask
 
     def _mark_tried(self, location: BitLocation) -> None:
-        """Record an attempted bit in both the set and the layer mask."""
+        """Record an attempted bit in the set and the layer mask, and drop
+        its layer's kept champion."""
         self.tried.add(location)
         mask = self._masks.get(location.layer)
         if mask is not None:
             mask[location.index * 8 + location.bit] = True
+        self._champions.pop(location.layer, None)
 
     def _layer_best_candidate(
         self, layer_index: int
@@ -290,7 +301,14 @@ class BitFlipAttack:
         """One full inter/intra-layer search step; returns (bit, est gain).
 
         ``memo`` carries the search's last gradient pass, so this one runs
-        only from the first segment that changed since.
+        only from the first segment that changed since.  When it ran
+        nothing, the float weights, buffers and batch are byte for byte
+        the last step's, and so are the integer weights (every writer
+        sets the floats from them through one dequantization), the
+        gradient and every untried layer's champion and every evaluated
+        candidate's loss: the step keeps those and ranks and evaluates
+        only what it has not.  Any pass that ran something drops them.
+        Without a memo nothing is kept.
         """
         inputs: list[np.ndarray] = []
         # Also leaves the model in eval mode for the exact evaluations.
@@ -298,11 +316,21 @@ class BitFlipAttack:
             self.qmodel.model, self.attack_x, self.attack_y, inputs=inputs,
             memo=memo,
         )
+        if memo is None:
+            champions, losses = {}, {}
+        else:
+            if not memo.ran_nothing:
+                self._champions.clear()
+                self._losses.clear()
+            champions, losses = self._champions, self._losses
         per_layer = []
         for layer_index in range(self.qmodel.num_layers):
-            candidate = self._layer_best_candidate(layer_index)
-            if candidate is not None:
-                per_layer.append(candidate)
+            if layer_index not in champions:
+                champions[layer_index] = self._layer_best_candidate(
+                    layer_index
+                )
+            if champions[layer_index] is not None:
+                per_layer.append(champions[layer_index])
         if not per_layer:
             return None
         per_layer.sort(key=lambda item: item[1], reverse=True)
@@ -311,7 +339,11 @@ class BitFlipAttack:
         # attacker's copy (flip, measure, revert) and commit the best.
         best: tuple[BitLocation, float, float] | None = None
         for location, estimate in shortlist:
-            loss = self._candidate_loss(location, inputs)
+            loss = losses.get(location)
+            if loss is None:
+                loss = losses[location] = self._candidate_loss(
+                    location, inputs
+                )
             if best is None or loss > best[1]:
                 best = (location, loss, estimate)
         assert best is not None
@@ -335,8 +367,11 @@ class BitFlipAttack:
         The search keeps its last gradient pass in a
         :class:`~repro.nn.train.GradientMemo`: after a blocked flip the
         next pass runs nothing, and after a landed one it runs from the
-        first segment that changed.  The memo is emptied when the search
-        returns, raises or is closed, so no graph outlives it.
+        first segment that changed.  After a pass that ran nothing the
+        step keeps the last one's champions and losses
+        (:meth:`_select_flip`).  The memo and those are emptied when the
+        search returns, raises or is closed, so neither a graph nor a
+        kept result outlives it.
         """
         stop = self.config.stop_accuracy
         memo = GradientMemo()
@@ -356,6 +391,8 @@ class BitFlipAttack:
                     return
         finally:
             memo.clear()
+            self._champions.clear()
+            self._losses.clear()
 
     def run(self) -> AttackResult:
         """The search with its accuracy curve: one evaluation before it and

@@ -8,13 +8,15 @@ an executor realises the flip in a deployment:
 * :class:`LogicalDefenseExecutor` — the fast analytical path: a flip on a
   secured bit is blocked (DNN-Defender refreshes the victim row before
   ``T_RH``), anything else lands.  Equivalence with the full DRAM path is
-  covered by integration tests.
+  covered by integration tests.  :class:`SecuredRows` is the secured set
+  of whole weight rows.
 * ``HammerExecutor`` (in :mod:`repro.attacks.hammer`) — drives real ACT
   streams through the simulated memory controller with the defense running.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Set
 from typing import Protocol
 
 from repro.nn.quant import BitLocation, QuantizedModel
@@ -23,6 +25,7 @@ __all__ = [
     "FlipExecutor",
     "SoftwareFlipExecutor",
     "LogicalDefenseExecutor",
+    "SecuredRows",
 ]
 
 
@@ -46,6 +49,63 @@ class SoftwareFlipExecutor:
         return True
 
 
+class SecuredRows(Set):
+    """Every bit of the weight rows holding ``bits``, kept as the rows.
+
+    Row ``r`` of a layer holds its weights ``r * weights_per_row`` up to
+    the next row's first weight or the layer's end.  Membership is one
+    row lookup and the size a sum of row spans; the
+    :class:`~repro.nn.quant.BitLocation` of each bit is built only when
+    something iterates the set.
+    """
+
+    def __init__(
+        self,
+        qmodel: QuantizedModel,
+        bits: Iterable[BitLocation],
+        weights_per_row: int = 256,
+    ):
+        if weights_per_row < 1:
+            raise ValueError("weights_per_row must be >= 1")
+        self.weights_per_row = weights_per_row
+        self._ends: dict[tuple[int, int], int] = {}   # (layer, row) -> end
+        for location in bits:
+            row = location.index // weights_per_row
+            end = min(
+                (row + 1) * weights_per_row,
+                qmodel.layer(location.layer).num_weights,
+            )
+            if end > row * weights_per_row:
+                self._ends[(location.layer, row)] = end
+        self._len = 8 * sum(
+            end - row * weights_per_row
+            for (_, row), end in self._ends.items()
+        )
+
+    def __contains__(self, location) -> bool:
+        if not isinstance(location, BitLocation):
+            return False
+        end = self._ends.get(
+            (location.layer, location.index // self.weights_per_row)
+        )
+        return end is not None and location.index < end and (
+            0 <= location.bit < 8
+        )
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[BitLocation]:
+        for (layer, row), end in sorted(self._ends.items()):
+            for index in range(row * self.weights_per_row, end):
+                for bit in range(8):
+                    yield BitLocation(layer, index, bit)
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset[BitLocation]:
+        return frozenset(iterable)
+
+
 class LogicalDefenseExecutor:
     """Analytical defense outcome: secured bits never flip.
 
@@ -53,11 +113,19 @@ class LogicalDefenseExecutor:
     within every hammer window, so its disturbance never reaches ``T_RH``)
     without simulating every activation.  ``blocked`` counts defended
     attempts — the defense-side metric reported in Section 5.2.
+
+    ``secured_bits`` is kept as given when it is :class:`SecuredRows`,
+    which tests membership by row, and copied otherwise.
     """
 
-    def __init__(self, qmodel: QuantizedModel, secured_bits: set[BitLocation]):
+    def __init__(
+        self, qmodel: QuantizedModel, secured_bits: Iterable[BitLocation]
+    ):
         self.qmodel = qmodel
-        self.secured_bits = set(secured_bits)
+        self.secured_bits = (
+            secured_bits if isinstance(secured_bits, SecuredRows)
+            else set(secured_bits)
+        )
         self.blocked = 0
         self.flips_performed = 0
 

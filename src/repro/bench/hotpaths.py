@@ -33,6 +33,10 @@ never a slow twin kept only for the comparison:
   :class:`~repro.nn.train.GradientMemo` pass, which resumes the forward
   at the classifier; parity demands an equal loss and equal bytes in
   every parameter's gradient.
+* ``bfa_blocked_step`` — one BFA step after a blocked flip: the full
+  step (``_select_flip(None)``) vs the search's step, whose gradient
+  pass runs nothing and which keeps every untried layer's champion and
+  every exact loss; parity demands the same bit and estimate.
 
 Every pair is parity-checked during the run: the two variants must
 produce identical functional results, and the recorded ``parity`` flag
@@ -53,7 +57,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.attacks.bfa import BitFlipAttack
+from repro.attacks.bfa import BfaConfig, BitFlipAttack
+from repro.attacks.executor import LogicalDefenseExecutor, SecuredRows
 from repro.attacks.hammer import RowHammerAttacker
 from repro.core.defender import DNNDefender
 from repro.dram import (
@@ -467,6 +472,60 @@ def bench_bfa_gradient_pass(quick: bool) -> dict:
     )
 
 
+def bench_bfa_blocked_step(quick: bool) -> dict:
+    """BFA step after a blocked flip: full step vs the search's step.
+
+    Against a deployment that secures every bit, on a trial-sized attack
+    batch (96 samples of 8x8) with the tournament's shortlist of four,
+    each rep attempts the last pick (blocked, untimed), then runs the
+    full step ``_select_flip(None)`` (``before``) and the next step of
+    the search's :class:`GradientMemo` (``after``) on that same state;
+    the two alternate which runs first.  ``after``'s pass runs nothing,
+    so it re-ranks only the tried bit's layer and exact-evaluates only
+    the candidate it has no loss for.  Parity demands the same bit and
+    the same estimate on every rep.
+    """
+    reps = 5 if quick else 20
+    qmodel = _bench_model()
+    x, y = _attack_batch()
+    everything = SecuredRows(
+        qmodel, [BitLocation(i, 0, 0) for i in range(qmodel.num_layers)],
+        weights_per_row=max(layer.num_weights for layer in qmodel.layers),
+    )
+    attack = BitFlipAttack(
+        qmodel, x, y, config=BfaConfig(exact_eval_top=4),
+        executor=LogicalDefenseExecutor(qmodel, everything),
+    )
+    memo = GradientMemo()
+    selected = attack._select_flip(memo)
+    times: dict[bool, list[float]] = {False: [], True: []}
+    parity = True
+    for rep in range(reps + 1):  # the first rep warms caches
+        location, _ = selected
+        parity &= not attack.executor.execute(location)
+        attack._mark_tried(location)
+        picks = {}
+        for with_memo in (rep % 2 == 0, rep % 2 == 1):
+            start = time.perf_counter()
+            picks[with_memo] = attack._select_flip(
+                memo if with_memo else None
+            )
+            if rep > 0:
+                times[with_memo].append(time.perf_counter() - start)
+        parity &= picks[True] == picks[False]
+        selected = picks[True]
+    memo.clear()
+    return _entry(
+        "bfa_blocked_step",
+        "BFA step after a blocked flip (ResNet-20, 96 samples, top 4): "
+        "full step vs the search's step, which re-ranks one layer and "
+        "evaluates at most one candidate",
+        reps,
+        {"before": _stats(times[False]), "after": _stats(times[True])},
+        parity,
+    )
+
+
 HOTPATH_BENCHMARKS: dict[str, Callable[[bool], dict]] = {
     "sync_post_window": bench_sync_post_window,
     "multi_bit_window": bench_multi_bit_window,
@@ -475,6 +534,7 @@ HOTPATH_BENCHMARKS: dict[str, Callable[[bool], dict]] = {
     "timing_checker": bench_timing_checker,
     "bfa_exact_eval": bench_bfa_exact_eval,
     "bfa_gradient_pass": bench_bfa_gradient_pass,
+    "bfa_blocked_step": bench_bfa_blocked_step,
 }
 
 

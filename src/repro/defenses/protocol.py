@@ -37,6 +37,8 @@ import numpy as np
 from repro.defenses.base import DefenseStats
 
 if TYPE_CHECKING:  # imported lazily to keep the defense layer light
+    from collections.abc import Iterable
+
     from repro.core.defender import DNNDefender
     from repro.dram.controller import MemoryController
     from repro.dram.timing import TimingParams
@@ -177,25 +179,24 @@ class SecuredBitsDefense(Defense):
     name = "dnn-defender"
 
     def __init__(
-        self, qmodel: "QuantizedModel", secured_bits: "set[BitLocation]"
+        self, qmodel: "QuantizedModel", secured_bits: "Iterable[BitLocation]"
     ):
         super().__init__(qmodel)
         from repro.attacks.executor import LogicalDefenseExecutor
 
-        self._secured = frozenset(secured_bits)
-        self._executor = LogicalDefenseExecutor(qmodel, set(secured_bits))
+        self._executor = LogicalDefenseExecutor(qmodel, secured_bits)
 
     def executor(self):
         return self._executor
 
     def protected_bits(self) -> "frozenset[BitLocation]":
-        return self._secured
+        return frozenset(self._executor.secured_bits)
 
     def finalize(self) -> DefenseStats:
         self.stats.reactions = self._executor.blocked
         self.stats.notes["blocked"] = self._executor.blocked
         self.stats.notes["landed"] = self._executor.flips_performed
-        self.stats.notes["secured_bits"] = len(self._secured)
+        self.stats.notes["secured_bits"] = len(self._executor.secured_bits)
         return self.stats
 
 

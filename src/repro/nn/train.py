@@ -321,8 +321,15 @@ class GradientMemo:
     def __init__(self):
         self.clear()
 
+    @property
+    def ran_nothing(self) -> bool:
+        """Whether the last pass found no link and no batch changed since
+        the pass before it, and so ran nothing."""
+        return self._ran_nothing
+
     def clear(self) -> None:
         """Forget the last pass and drop its graph."""
+        self._ran_nothing = False
         self._model: Module | None = None
         self._links: list[_Link] = []
         self._batch: tuple | None = None    # digests of x and y
@@ -359,7 +366,8 @@ class GradientMemo:
         batch = (_digest([x]), _digest([y]))
         start = self._first_change(links, batch)
         self._model, self._links, self._batch = model, links, batch
-        if start > len(segments):
+        self._ran_nothing = start > len(segments)
+        if self._ran_nothing:
             for param, grad in self._grads:
                 param.grad = None if grad is None else grad.copy()
             if inputs is not None:

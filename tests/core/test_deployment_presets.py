@@ -58,20 +58,27 @@ class TestExpandBitsToRows:
             st.tuples(st.integers(0, 3), st.floats(0, 1), st.integers(0, 7)),
             max_size=12,
         ),
+        probes=st.lists(
+            st.tuples(st.integers(0, 3), st.floats(0, 1), st.integers(0, 7)),
+            max_size=24,
+        ),
     )
     def test_equals_per_bit_expansion(
-        self, fresh_quantized, weights_per_row, picks
+        self, fresh_quantized, weights_per_row, picks, probes
     ):
         """One expansion per secured row gives the set of expanding every
         bit on its own: for bits sharing a row, bits in a layer's short
         last row, one weight per row, and rows longer than the layer (the
-        first and last layers hold 432 and 640 weights)."""
+        first and last layers hold 432 and 640 weights).  Its row lookup
+        answers membership as the per-bit set does, for the picked bits'
+        neighbours and for bits anywhere."""
         sizes = [layer.num_weights for layer in fresh_quantized.layers]
-        bits = {
-            BitLocation(layer, min(int(at * sizes[layer]), sizes[layer] - 1),
-                        bit)
-            for layer, at, bit in picks
-        }
+
+        def located(layer, at, bit):
+            index = min(int(at * sizes[layer]), sizes[layer] - 1)
+            return BitLocation(layer, index, bit)
+
+        bits = {located(*pick) for pick in picks}
         expected = set()
         for location in bits:
             start = location.index // weights_per_row * weights_per_row
@@ -79,9 +86,18 @@ class TestExpandBitsToRows:
             for index in range(start, end):
                 for bit in range(8):
                     expected.add(BitLocation(location.layer, index, bit))
-        assert expand_bits_to_rows(
+        expanded = expand_bits_to_rows(
             fresh_quantized, bits, weights_per_row=weights_per_row
-        ) == expected
+        )
+        assert expanded == expected
+        assert len(expanded) == len(expected)
+        neighbours = {
+            BitLocation(b.layer, b.index + step, b.bit)
+            for b in bits for step in (-weights_per_row, -1, 1,
+                                       weights_per_row)
+        }
+        for location in neighbours | {located(*p) for p in probes}:
+            assert (location in expanded) == (location in expected)
 
 
 class TestReportFormatting:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.attacks.executor import SecuredRows
 from repro.defenses.base import DefenseStats
 from repro.defenses.protocol import (
     DefenseContext,
@@ -148,6 +149,25 @@ class TestProtocolLifecycle:
         stats = d.finalize()
         assert stats.reactions == 1
         assert stats.notes == {"blocked": 1, "landed": 1, "secured_bits": 2}
+
+    def test_secured_rows_block_by_row(self, fresh_quantized):
+        """DNN-Defender's logical secured set is its rows: the executor
+        blocks every bit of a profiled bit's row by one row lookup, and
+        the notes and ``protected_bits()`` count and list every bit."""
+        rows = SecuredRows(fresh_quantized, {BitLocation(1, 20, 7)}, 16)
+        d = SecuredBitsDefense(fresh_quantized, rows)
+        assert d.executor().secured_bits is rows
+        assert not d.executor().execute(BitLocation(1, 16, 0))   # blocked
+        assert not d.executor().execute(BitLocation(1, 31, 3))   # blocked
+        assert d.executor().execute(BitLocation(1, 32, 0))       # next row
+        assert d.executor().execute(BitLocation(0, 20, 7))       # layer 0
+        assert d.protected_bits() == frozenset(
+            BitLocation(1, index, bit)
+            for index in range(16, 32) for bit in range(8)
+        )
+        assert d.finalize().notes == {
+            "blocked": 2, "landed": 2, "secured_bits": 16 * 8,
+        }
 
     def test_behavioral_defense_from_registry(self, fresh_quantized):
         d = build_defense(

@@ -51,7 +51,7 @@ class TestSuite:
         assert set(HOTPATH_BENCHMARKS) == {
             "sync_post_window", "multi_bit_window", "radar_detection_sweep",
             "defended_vs_undefended", "timing_checker", "bfa_exact_eval",
-            "bfa_gradient_pass",
+            "bfa_gradient_pass", "bfa_blocked_step",
         }
 
     def test_format_suite_renders(self, sync_suite):

@@ -235,6 +235,7 @@ class TestExactness:
                     ran, losses = list(spy.segments), spy.losses
                     fresh, _ = pass_result(model, x, y)
                     assert memoized == fresh, change
+                    assert memo.ran_nothing == (start is None), change
                     if start is None:
                         assert (ran, losses) == ([], 0), change
                     else:
@@ -252,6 +253,18 @@ class TestExactness:
         again, _ = pass_result(model, x, y, memo)
         assert again == first
         assert spy.segments == list(range(len(spy.links)))
+        assert not memo.ran_nothing
+
+    def test_ran_nothing_describes_the_last_pass(self):
+        model, x, y = build(0, 4)
+        memo = GradientMemo()
+        assert not memo.ran_nothing
+        pass_result(model, x, y, memo)
+        assert not memo.ran_nothing
+        pass_result(model, x, y, memo)
+        assert memo.ran_nothing
+        memo.clear()
+        assert not memo.ran_nothing
 
     def test_another_model_means_a_fresh_pass(self):
         memo = GradientMemo()
