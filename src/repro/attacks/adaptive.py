@@ -74,7 +74,7 @@ def white_box_adaptive_attack(
     """
     attack = BitFlipAttack(
         qmodel, attack_x, attack_y, config=config,
-        skip=set(secured_bits), executor=executor,
+        skip=secured_bits, executor=executor,
         eval_x=eval_x, eval_y=eval_y,
     )
     return attack.run()

@@ -122,7 +122,8 @@ class BitFlipAttack:
         attack_x / attack_y: the attacker's sample batch (test data).
         config: search parameters.
         skip: bits the attacker will not target (adaptive attacker skipping
-            bits it knows are secured, or bits burned in earlier rounds).
+            bits it knows are secured, or bits burned in earlier rounds);
+            kept as a frozenset, so a frozenset is not copied.
         skip_bit_positions: whole bit *columns* (0..7) the attacker avoids
             in every weight of every layer — the smart-bfa attacker's way
             of staying invisible to checksum defenses that only guard the
@@ -149,7 +150,7 @@ class BitFlipAttack:
         self.attack_x = attack_x
         self.attack_y = attack_y
         self.config = config or BfaConfig()
-        self.skip = set(skip or ())
+        self.skip = frozenset(skip or ())
         self.skip_bit_positions = frozenset(skip_bit_positions or ())
         if any(b < 0 or b > 7 for b in self.skip_bit_positions):
             raise ValueError(
@@ -171,6 +172,13 @@ class BitFlipAttack:
         # bit-delta table cached per layer, invalidated by the layer's
         # mutation version (committed flips, collateral damage, restores).
         self._masks: dict[int, np.ndarray] = {}
+        # The skip set's flat (weight, bit) indices by layer, split in one
+        # walk so that each mask sets its layer's by one store.
+        self._skip_flat: dict[int, list[int]] = {}
+        for location in self.skip:
+            self._skip_flat.setdefault(location.layer, []).append(
+                location.index * 8 + location.bit
+            )
         self._delta_cache: dict[int, tuple[int, np.ndarray]] = {}
         # The search's last step, kept while its gradient memo runs
         # nothing: each layer's champion (``None`` when it has no
@@ -219,9 +227,7 @@ class BitFlipAttack:
             mask = np.zeros(layer.num_weights * 8, dtype=bool)
             if self._skip_columns is not None:
                 mask.reshape(-1, 8)[:, self._skip_columns] = True
-            for location in self.skip:
-                if location.layer == layer_index:
-                    mask[location.index * 8 + location.bit] = True
+            mask[self._skip_flat.get(layer_index, [])] = True
             for location in self.tried:
                 if location.layer == layer_index:
                     mask[location.index * 8 + location.bit] = True

@@ -77,9 +77,9 @@ class BfaAttacker(Attacker):
         if self.skip_guarded:
             guarded = context.guarded_bit_positions()
             detail["avoided_bit_columns"] = float(len(guarded))
-        secured: set[BitLocation] = set()
+        secured: frozenset[BitLocation] = frozenset()
         if self.skip_protected:
-            secured = set(context.protected_bits())
+            secured = context.protected_bits()
             detail["known_secured_bits"] = float(len(secured))
         result = BitFlipAttack(
             context.qmodel, attack_x, attack_y,

@@ -8,15 +8,19 @@ reproduction; cross-entropy fuses log-softmax and NLL with the standard
 
 The kernels are vectorized: im2col and col2im are ``np.take`` gathers
 through flat index tables cached per conv geometry, scratch buffers are
-pooled across calls, matmuls run in place/``out=``, the weight gradient's
-short dots are einsum's own additions done as whole-array ops, eval-mode
-batch norm is one fused node with cached constants, and backward
-preparation is lazy (pooling argmax masks are only built when a gradient
-can actually flow).  They only change data movement and fuse elementwise
-chains in the exact evaluation order of the per-op graph, never the
-floating-point reduction order, so outputs and gradients are
-byte-identical to the straightforward loop/per-op formulation (the
-parity tests keep such a reference).
+pooled across calls, a convolution that builds no graph gathers its
+columns a block of samples at a time, one that builds a graph keeps its
+columns for every backward until it is freed and then returns them to
+the pool, matmuls run in
+place/``out=``, the weight gradient's short dots are einsum's own
+additions done as whole-array ops, eval-mode batch norm is one fused
+node with cached constants, and backward preparation is lazy (pooling
+argmax masks are only built when a gradient can actually flow).  They
+only change data movement and fuse elementwise chains in the exact
+evaluation order of the per-op graph, never the floating-point
+reduction order, so outputs and gradients are byte-identical to the
+straightforward loop/per-op formulation (the parity tests keep such a
+reference).
 """
 
 from __future__ import annotations
@@ -60,23 +64,25 @@ def _pair(value) -> tuple[int, int]:
 class _BufferPool:
     """Free-list of scratch arrays keyed by ``(shape, dtype)``.
 
-    Every convolution needs multi-megabyte scratch arrays: the im2col
-    columns and the zero-slotted input copy its gather reads from, and in
-    the backward the zero-slotted column gradient (the matmul writes it
-    in place for col2im to gather from), col2im's tap buffer and its
-    output.
+    Every convolution needs multi-megabyte arrays: without a graph, one
+    block of columns and one of zero-slotted input per geometry
+    (:func:`_conv_no_grad`); with one, the whole batch's columns, which
+    its node holds until it is freed (:class:`_NodeColumns`), and the
+    zero-slotted input copy their gather reads from, and in the backward
+    the zero-slotted column gradient (the matmul writes it in place for
+    col2im to gather from), col2im's tap buffer and its output.
     Page-faulting fresh ones in on each call would dominate the kernels'
     time.  The pool recycles them: ``acquire`` pops a previously
     released array (contents are garbage — callers must overwrite or
     ``fill``), ``release`` returns it.  Arrays handed to callers that
-    never release (e.g. a conv graph discarded before ``backward``) are
-    simply garbage-collected; the pool only ever misses, never corrupts.
+    never release are simply garbage-collected; the pool only ever
+    misses, never corrupts.
 
     Only the main thread touches the pool: ``backward()``'s worker
-    threads run just the weight-gradient contraction on columns handed
-    to them, and ``conv2d`` returns those columns here on the main
-    thread after collecting the result.  Process pools fork fresh
-    interpreters and therefore fresh pools.
+    threads run just the weight-gradient contraction, on the columns of
+    a node that ``backward()`` holds until it has collected the result,
+    so a node's columns return to the pool where its graph is dropped.
+    Process pools fork fresh interpreters and therefore fresh pools.
     """
 
     def __init__(self, max_per_key: int = 4):
@@ -261,6 +267,11 @@ def col2im(
 # size, unless one sample's products alone need more.
 _SHORT_DOT_BLOCK = 1 << 18
 
+# Elements per block of samples in :func:`_conv_no_grad`: its columns
+# and its zero-slotted input each stay under 256 KiB of float32 whatever
+# the batch size, unless one sample's alone need more.
+_CONV_BLOCK = 1 << 16
+
 
 def _weight_grad(grad2d: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``np.einsum("nfl,nkl->fk", grad2d, cols)``, bit for bit.
@@ -314,6 +325,63 @@ def _weight_grad(grad2d: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conv_no_grad(
+    x: np.ndarray, w2d: np.ndarray, kh: int, kw: int, stride: int,
+    padding: int, oh: int, ow: int,
+) -> np.ndarray:
+    """``w2d @ im2col(x)`` as ``(n, f, oh*ow)``, a block of samples at a time.
+
+    matmul runs one gemm per sample, so a sample's product is the same
+    whichever block gathers it.  The scratch is one pooled block of
+    columns and one of zero-slotted input per geometry, whose prefix
+    the last, shorter block uses, so it does not grow with the batch.
+    """
+    n, c, h, w = x.shape
+    index = _unfold_index(c, h, w, kh, kw, stride, padding)
+    m = max(1, _CONV_BLOCK // max(index.size, c * h * w + 1))
+    src = _POOL.acquire((m, c * h * w + 1), x.dtype)
+    cols = _POOL.acquire((m, index.size), x.dtype)
+    src[:, -1] = 0
+    samples = x.reshape(n, c * h * w)
+    out = np.empty((n, w2d.shape[0], oh * ow), np.result_type(w2d, x))
+    for start in range(0, n, m):
+        b = min(m, n - start)
+        np.copyto(src[:b, :-1], samples[start:start + b])
+        np.take(src[:b], index, axis=1, out=cols[:b], mode="clip")
+        np.matmul(
+            w2d, cols[:b].reshape(b, -1, oh * ow), out=out[start:start + b]
+        )
+    _POOL.release(src)
+    _POOL.release(cols)
+    return out
+
+
+class _NodeColumns:
+    """One conv node's columns, gathered once by its forward.
+
+    Every backward through the node reads them, and nothing writes them
+    while the node lives.  When the node is freed (its graph dropped, or
+    the part of a :class:`~repro.nn.train.GradientMemo` graph a pass
+    runs again) they return to the pool, so the next forward of that
+    shape gathers into them instead of faulting in fresh pages.
+    """
+
+    __slots__ = ("buffer", "cols")
+
+    def __init__(
+        self, x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+        oh: int, ow: int,
+    ):
+        n, c = x.shape[:2]
+        self.buffer = _POOL.acquire((n, c, kh, kw, oh, ow), x.dtype)
+        self.cols = _im2col_into(
+            x, kh, kw, stride, padding, oh, ow, self.buffer
+        )
+
+    def __del__(self):
+        _POOL.release(self.buffer)
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -321,7 +389,13 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2D convolution: x ``(N,C,H,W)``, weight ``(F,C,KH,KW)``."""
+    """2D convolution: x ``(N,C,H,W)``, weight ``(F,C,KH,KW)``.
+
+    A forward that builds a graph gathers the whole batch's columns,
+    and its node keeps them for every backward until it is freed
+    (:class:`_NodeColumns`); one that builds none gathers a block of
+    samples at a time.
+    """
     n, c, h, w = x.shape
     f, wc, kh, kw = weight.shape
     if wc != c:
@@ -331,40 +405,29 @@ def conv2d(
     needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
     w2d = weight.data.reshape(f, -1)                      # (F, CKK)
 
-    cols6 = _POOL.acquire((n, c, kh, kw, oh, ow), x.dtype)
-    cols = _im2col_into(x.data, kh, kw, stride, padding, oh, ow, cols6)
-    out = w2d @ cols                                      # (N, F, L)
+    if needs_grad:
+        columns = _NodeColumns(x.data, kh, kw, stride, padding, oh, ow)
+        out = w2d @ columns.cols                          # (N, F, L)
+    else:
+        out = _conv_no_grad(x.data, w2d, kh, kw, stride, padding, oh, ow)
     out = out.reshape(n, f, oh, ow)
     if bias is not None:
         np.add(out, bias.data.reshape(1, f, 1, 1), out=out)
 
     if not needs_grad:
-        _POOL.release(cols6)
         return Tensor(out)
 
     x_shape = x.data.shape
 
     def backward_fn(grad: np.ndarray) -> None:
-        nonlocal cols, cols6
-        if cols is None:
-            # Released to the pool by a previous backward, such as the
-            # last pass of a GradientMemo that kept this graph; rebuild
-            # from the still-live input, gathering the same columns.
-            cols6 = _POOL.acquire((n, c, kh, kw, oh, ow), x.data.dtype)
-            cols = _im2col_into(
-                x.data, kh, kw, stride, padding, oh, ow, cols6
-            )
-        # The weight gradient owns this pass's columns from here on.
-        pass_cols, pass_cols6 = cols, cols6
-        cols = cols6 = None
+        cols = columns.cols                               # (N, CKK, L)
         grad2d = grad.reshape(n, f, oh * ow)              # (N, F, L)
         # Sum over batch of dout @ cols^T, on a backward worker when the
-        # weight is a leaf; the columns return to the pool only after
-        # the result is collected.
+        # weight is a leaf; backward() holds this node, and so its
+        # columns, until the worker's result is collected.
         Tensor._accumulate_on_worker(
             weight,
-            lambda: _weight_grad(grad2d, pass_cols).reshape(weight.shape),
-            lambda: _POOL.release(pass_cols6),
+            lambda: _weight_grad(grad2d, cols).reshape(weight.shape),
         )
         if bias is not None and bias.requires_grad:
             Tensor._accumulate(bias, grad.sum(axis=(0, 2, 3)))
@@ -376,7 +439,7 @@ def conv2d(
             )
             grad_src[:, -1] = 0
             np.matmul(w2d.T, grad2d, out=grad_src[:, :-1].reshape(
-                pass_cols.shape, copy=False
+                cols.shape, copy=False
             ))
             grad_x = _POOL.acquire(x_shape, grad.dtype)
             Tensor._accumulate(x, _col2im_into(
@@ -544,7 +607,7 @@ def _batch_norm2d_eval_fused(
                 beta, _unbroadcast(grad, (1, c, 1, 1)).reshape(beta.shape)
             )
         if x.requires_grad:
-            Tensor._accumulate(x, (grad * gamma4) * inv_std4)
+            Tensor._accumulate(x, (grad * gamma4) * inv_std4, owned=True)
 
     return Tensor._make(out, (x, gamma, beta), backward_fn)
 
@@ -637,7 +700,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         g = probs.copy()
         g[np.arange(n), targets] -= 1.0
         g *= float(grad) / n
-        Tensor._accumulate(logits, g)
+        Tensor._accumulate(logits, g, owned=True)
 
     return Tensor._make(np.asarray(loss_value, dtype=logits.dtype),
                         (logits,), backward_fn)

@@ -15,7 +15,10 @@ The engine's contract, which keeps every gradient bit equal to adding each
 contribution the moment it is made:
 
 * A non-leaf node's gradient is summed as its contributions arrive, because
-  its own closure reads it later in the traversal.
+  its own closure reads it later in the traversal.  The first one is
+  copied unless its source hands it over as owned (a fresh array nothing
+  else reads or writes, such as ``relu``'s ``grad * mask``), in which
+  case it becomes the gradient.
 * Nothing reads a leaf's gradient during the traversal, so contributions to
   leaves are queued and applied in call order after it; the float additions
   into each leaf's ``.grad`` happen in the same order as before.
@@ -90,10 +93,16 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _add_grad(tensor: "Tensor", grad: np.ndarray) -> None:
+def _add_grad(
+    tensor: "Tensor", grad: np.ndarray, owned: bool = False
+) -> None:
+    """Add one contribution; an ``owned`` first one becomes the gradient."""
     grad = _unbroadcast(grad, tensor.data.shape)
     if tensor.grad is None:
-        tensor.grad = grad.astype(tensor.data.dtype, copy=True)
+        if owned and grad.dtype == tensor.data.dtype:
+            tensor.grad = grad
+        else:
+            tensor.grad = grad.astype(tensor.data.dtype, copy=True)
     else:
         tensor.grad += grad
 
@@ -101,9 +110,8 @@ def _add_grad(tensor: "Tensor", grad: np.ndarray) -> None:
 class _LeafQueue:
     """One backward() call's contributions to leaf tensors, in call order.
 
-    An entry holds either an array or the future of a worker's
-    contraction together with a ``finish`` callback that runs on the
-    calling thread once the result is collected.
+    An entry holds either an owned array or the future of a worker's
+    contraction.
     """
 
     __slots__ = ("pool", "entries")
@@ -113,20 +121,12 @@ class _LeafQueue:
         self.entries: list[tuple] = []
 
     def apply(self) -> None:
-        for leaf, grad, finish in self.entries:
-            if finish is not None:
+        for leaf, grad in self.entries:
+            if isinstance(grad, concurrent.futures.Future):
                 grad = grad.result()
-                finish()
-            if (
-                leaf.grad is None
-                and grad.dtype == leaf.data.dtype
-                and grad.shape == leaf.data.shape
-            ):
-                # Every entry is owned: _accumulate queued a copy, and a
-                # worker's contraction returns a fresh array.
-                leaf.grad = grad
-            else:
-                _add_grad(leaf, grad)
+            # Every entry is owned: _accumulate queued an owned array or
+            # a copy, and a worker's contraction returns a fresh one.
+            _add_grad(leaf, grad, owned=True)
 
 
 class Tensor:
@@ -201,41 +201,49 @@ class Tensor:
                       backward_fn=backward_fn)
 
     @staticmethod
-    def _accumulate(parent: "Tensor", grad: np.ndarray) -> None:
+    def _accumulate(
+        parent: "Tensor", grad: np.ndarray, owned: bool = False
+    ) -> None:
+        """Add ``grad`` to ``parent``'s gradient.
+
+        ``owned`` hands over a fresh array that nothing else reads or
+        writes: the first contribution then becomes the gradient itself.
+        Any other array (shared with another parent, pooled, or a view)
+        is copied first.
+        """
         if not parent.requires_grad:
             return
         if parent._backward_fn is None and _BACKWARD:
-            # A leaf, applied after the traversal.  Copied now: callers
-            # may hand over a view of a scratch buffer they reuse.
-            grad = np.array(_unbroadcast(grad, parent.data.shape))
-            _BACKWARD[-1].entries.append((parent, grad, None))
+            # A leaf, applied after the traversal.  Copied now unless
+            # owned: callers may hand over a view of a buffer they reuse.
+            grad = _unbroadcast(grad, parent.data.shape)
+            _BACKWARD[-1].entries.append(
+                (parent, grad if owned else np.array(grad))
+            )
             return
-        _add_grad(parent, grad)
+        _add_grad(parent, grad, owned)
 
     @staticmethod
     def _accumulate_on_worker(
-        parent: "Tensor",
-        compute: Callable[[], np.ndarray],
-        finish: Callable[[], None],
+        parent: "Tensor", compute: Callable[[], np.ndarray]
     ) -> None:
-        """Add ``compute()``, a gradient of ``parent``'s shape, to ``parent``.
+        """Add ``compute()``, a fresh gradient of ``parent``'s shape, to
+        ``parent``.
 
         For a leaf inside ``backward()``, ``compute`` runs on a worker
         thread and its result is applied in call order after the
         traversal; ``compute`` must read only operands that nothing
         writes until then.  Otherwise (a computed tensor, whose own
         closure reads its gradient later in the traversal) it runs here
-        at once.  ``finish`` runs on this thread after the result has
-        been collected.
+        at once.
         """
         if not parent.requires_grad:
-            finish()
-        elif parent._backward_fn is None and _BACKWARD:
+            return
+        if parent._backward_fn is None and _BACKWARD:
             queue = _BACKWARD[-1]
-            queue.entries.append((parent, queue.pool.submit(compute), finish))
+            queue.entries.append((parent, queue.pool.submit(compute)))
         else:
-            _add_grad(parent, compute())
-            finish()
+            _add_grad(parent, compute(), owned=True)
 
     # ------------------------------------------------------------------ #
     # Backward pass
@@ -324,8 +332,8 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward_fn(grad: np.ndarray) -> None:
-            Tensor._accumulate(self, grad * other.data)
-            Tensor._accumulate(other, grad * self.data)
+            Tensor._accumulate(self, grad * other.data, owned=True)
+            Tensor._accumulate(other, grad * self.data, owned=True)
 
         return self._make(out_data, (self, other), backward_fn)
 
@@ -362,8 +370,12 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward_fn(grad: np.ndarray) -> None:
-            Tensor._accumulate(self, grad @ other.data.swapaxes(-1, -2))
-            Tensor._accumulate(other, self.data.swapaxes(-1, -2) @ grad)
+            Tensor._accumulate(
+                self, grad @ other.data.swapaxes(-1, -2), owned=True
+            )
+            Tensor._accumulate(
+                other, self.data.swapaxes(-1, -2) @ grad, owned=True
+            )
 
         return self._make(out_data, (self, other), backward_fn)
 
@@ -439,7 +451,7 @@ class Tensor:
         out_data = self.data * mask
 
         def backward_fn(grad: np.ndarray) -> None:
-            Tensor._accumulate(self, grad * mask)
+            Tensor._accumulate(self, grad * mask, owned=True)
 
         return self._make(out_data, (self,), backward_fn)
 

@@ -304,17 +304,19 @@ class GradientMemo:
     * from link ``k`` on (the labels alone count as link
       ``len(segments)``): it drops the graph from ``k`` on, resumes the
       forward from the output of link ``k - 1`` and backpropagates
-      through the whole graph, whose kept convolutions rebuild their
-      columns.
+      through the whole graph, whose kept convolutions read the columns
+      they gathered in their forward.
 
     The kept graph is the one a fresh forward would build and the
     backward runs the same closures in the same order, so the loss,
     every gradient bit and every captured input equal a fresh pass's.
     A model with an attribute the walk cannot key gets a fresh pass.
 
-    Between passes the memo holds one graph, without non-leaf gradients
-    or columns.  The caller owns it, must not write the arrays a pass
-    hands out while it lives, and :meth:`clear` s it when done:
+    Between passes the memo holds one graph, with its convolutions'
+    columns and without non-leaf gradients: a resumed pass gathers
+    columns only for the convolutions it runs again.  The caller owns
+    it, must not write the arrays a pass hands out while it lives, and
+    :meth:`clear` s it when done:
     :meth:`repro.attacks.bfa.BitFlipAttack.steps` keeps one per search.
     """
 

@@ -2,8 +2,9 @@
 
 :meth:`BitFlipAttack.steps` keeps its last gradient pass in a
 :class:`GradientMemo`.  A search with it must attempt exactly what a
-search without it attempts, and no tensor of its graph may outlive the
-search, however the search ends.  After a pass that ran nothing, a step
+search without it attempts, and no tensor of its graph, nor the columns
+its convolutions keep, may outlive the search, however the search ends:
+a freed convolution's columns may only wait in the scratch pool.  After a pass that ran nothing, a step
 keeps the last step's champions and exact losses: it must rank only the
 tried bit's layer and evaluate at most one candidate, and rank and
 evaluate everything after any change.
@@ -139,29 +140,44 @@ def _attack(dataset, qmodel=None, config=None, **kwargs):
 @pytest.fixture
 def graphs(monkeypatch):
     """Weak references to the array of every tensor of every gradient
-    pass's graph, parameters aside, taken as each pass builds its loss.
-    A tensor that survives keeps its array alive."""
-    refs: list[weakref.ref] = []
-    cross_entropy = functional.cross_entropy
+    pass's graph, parameters aside, taken as each pass builds its loss,
+    and to the column buffer each of its convolutions gathered into.  A
+    tensor that survives keeps its array alive, and a convolution node
+    its columns."""
+    refs: dict[str, list[weakref.ref]] = {"graph arrays": [], "columns": []}
+    cross_entropy, gather = functional.cross_entropy, functional._im2col_into
 
     def spy(logits, targets):
         loss = cross_entropy(logits, targets)
         if is_grad_enabled():
-            refs.extend(
+            refs["graph arrays"].extend(
                 weakref.ref(t.data) for t in loss.graph()
                 if type(t) is Tensor
             )
         return loss
 
+    def spied_gather(*args, **kwargs):
+        cols = gather(*args, **kwargs)    # a view of the filled buffer
+        if is_grad_enabled():
+            refs["columns"].append(weakref.ref(cols.base))
+        return cols
+
     monkeypatch.setattr(functional, "cross_entropy", spy)
+    monkeypatch.setattr(functional, "_im2col_into", spied_gather)
     return refs
 
 
 def assert_all_gone(refs):
     gc.collect()
-    assert refs, "no graph was recorded"
-    alive = sum(ref() is not None for ref in refs)
-    assert alive == 0, f"{alive} of {len(refs)} graph arrays survive"
+    pooled = {id(a) for free in functional._POOL._free.values() for a in free}
+    for kind, recorded in refs.items():
+        assert recorded, f"no {kind} were recorded"
+        alive = [
+            ref() for ref in recorded
+            if ref() is not None
+            and not (kind == "columns" and id(ref()) in pooled)
+        ]
+        assert not alive, f"{len(alive)} of {len(recorded)} {kind} survive"
 
 
 class TestSameSearch:

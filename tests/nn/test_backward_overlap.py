@@ -98,7 +98,8 @@ def _conv2d_inline(x, weight, bias=None, stride=1, padding=0):
     return Tensor._make(out, parents, backward_fn)
 
 
-def _accumulate_now(parent, grad):
+def _accumulate_now(parent, grad, owned=False):
+    """Add a contribution at once, always through a copy."""
     if not parent.requires_grad:
         return
     grad = _unbroadcast(grad, parent.data.shape)

@@ -9,7 +9,9 @@ buffers, the weight gradient by ``np.einsum``), the per-op Tensor chain
 for eval batch norm, and a loop max-pool.  :func:`_reference_and_library`
 patches the oracles into ``repro.nn.functional`` so whole models run on
 them.  The weight gradient's short-dot kernel is checked against
-``np.einsum`` directly.
+``np.einsum`` directly, and a convolution that builds no graph, which
+gathers a block of samples at a time, against the loop im2col and one
+whole-batch matmul.
 """
 
 import numpy as np
@@ -28,8 +30,9 @@ from repro.nn import (
     make_resnet20,
 )
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, no_grad
-from repro.nn.train import loss_and_grads
+from repro.nn.tensor import Parameter, Tensor, no_grad
+from repro.nn.train import loss_and_grads, predict_logits
+from repro.presets import PRESET_NAMES, preset_spec
 
 _batch_norm2d = F.batch_norm2d
 
@@ -269,6 +272,97 @@ class TestConv2d:
             return out.data.tobytes(), grads
 
         assert run(F.conv2d) == run(_conv2d_reference)
+
+
+def _preset_conv_geometries():
+    """``(c, h, w, f, kh, kw, stride, padding)`` of every convolution in
+    the presets' models, recorded from a one-sample forward of each."""
+    geometries = set()
+    conv2d = F.conv2d
+
+    def recording(x, weight, bias=None, stride=1, padding=0):
+        geometries.add(
+            (*x.shape[1:], *weight.shape[:1], *weight.shape[2:],
+             stride, padding)
+        )
+        return conv2d(x, weight, bias, stride=stride, padding=padding)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(F, "conv2d", recording)
+        for name in PRESET_NAMES:
+            spec = preset_spec(name)
+            x = np.zeros((1, 3, spec.image_hw, spec.image_hw), np.float32)
+            with no_grad():
+                spec.make_factory()().eval()(Tensor(x))
+    return sorted(geometries)
+
+
+class TestNoGradConv2d:
+    """A convolution that builds no graph gathers its columns and runs its
+    matmul a block of samples at a time; every output byte must equal
+    the loop im2col's columns times the weight in one whole-batch
+    matmul, whatever the batch."""
+
+    def test_every_preset_geometry_at_every_block_edge(self):
+        geometries = _preset_conv_geometries()
+        spatial = {
+            F._conv_geometry(h, w, kh, kw, stride, padding)
+            for c, h, w, f, kh, kw, stride, padding in geometries
+        }
+        assert (1, 1) in spatial                        # oh*ow == 1
+        assert any(
+            (kh, kw, stride) == (1, 1, 2)               # shortcuts
+            for c, h, w, f, kh, kw, stride, padding in geometries
+        )
+        rng = np.random.default_rng(53)
+        for c, h, w, f, kh, kw, stride, padding in geometries:
+            oh, ow = F._conv_geometry(h, w, kh, kw, stride, padding)
+            block = max(1, F._CONV_BLOCK // max(
+                c * kh * kw * oh * ow, c * h * w + 1
+            ))
+            weight = rng.standard_normal((f, c, kh, kw)).astype(np.float32)
+            bias = rng.standard_normal(f).astype(np.float32)
+            batches = {1, block - 1, block, block + 1, 96, 256, 384} - {0}
+            for n in sorted(batches):
+                x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+                cols = _im2col_loop(x, kh, kw, stride, padding)
+                product = (weight.reshape(f, -1) @ cols).reshape(
+                    n, f, oh, ow
+                )
+                for b in (None, bias):
+                    expected = product if b is None else (
+                        product + b.reshape(1, f, 1, 1)
+                    )
+                    with no_grad():
+                        out = F.conv2d(
+                            Tensor(x), Parameter(weight),
+                            None if b is None else Parameter(b),
+                            stride=stride, padding=padding,
+                        )
+                    assert out.data.tobytes() == expected.tobytes(), (
+                        (c, h, w, f, kh, kw, stride, padding), n, b is None
+                    )
+
+    def test_predict_logits_bytes_and_block_sized_scratch(self, monkeypatch):
+        """The ``resnet20_cifar`` model as its factory builds it, on the
+        preset's test split (384 samples, batches of 256 and 128): the
+        logits equal the oracle's byte for byte, and the pool keeps no
+        buffer larger than one block.  The oracle runs in the same
+        process, because a pinned digest would also pin the host's BLAS
+        kernels."""
+        pool = F._BufferPool()
+        monkeypatch.setattr(F, "_POOL", pool)
+        spec = preset_spec("resnet20_cifar")
+        x = spec.make_dataset().x_test
+
+        def run():
+            return predict_logits(spec.make_factory()(), x).tobytes()
+
+        expected, actual = _reference_and_library(run)
+        assert actual == expected
+        pooled = [a for free in pool._free.values() for a in free]
+        assert pooled
+        assert max(a.size for a in pooled) <= F._CONV_BLOCK
 
 
 _GEOMETRIES = [

@@ -5,8 +5,9 @@ nothing when nothing changed, otherwise the forward from the first
 changed segment on, then the whole backward.  Whatever it runs, its loss,
 every parameter's gradient bytes and every captured input must equal a
 pass without a memo, and it must start the forward at exactly the first
-changed segment.  Between passes it keeps one graph; a pass must never
-hold two.
+changed segment.  Between passes it keeps one graph, with its
+convolutions' columns, so a pass gathers columns only for the
+convolutions it runs again; a pass must never hold two graphs.
 """
 
 import concurrent.futures
@@ -276,6 +277,65 @@ class TestExactness:
 
 
 # ---------------------------------------------------------------------- #
+# Columns: gathered once per forward, never in a backward
+# ---------------------------------------------------------------------- #
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Every column gather, as ``(conv weight, inside a backward)``."""
+    log: list[tuple[Parameter, bool]] = []
+    state = {"weight": None, "backward": False}
+    conv2d, gather, backward = (
+        functional.conv2d, functional._im2col_into, Tensor.backward
+    )
+
+    def spied_conv2d(x, weight, *args, **kwargs):
+        state["weight"] = weight
+        return conv2d(x, weight, *args, **kwargs)
+
+    def spied_gather(*args, **kwargs):
+        log.append((state["weight"], state["backward"]))
+        return gather(*args, **kwargs)
+
+    def spied_backward(self, *args, **kwargs):
+        state["backward"] = True
+        try:
+            return backward(self, *args, **kwargs)
+        finally:
+            state["backward"] = False
+
+    monkeypatch.setattr(functional, "conv2d", spied_conv2d)
+    monkeypatch.setattr(functional, "_im2col_into", spied_gather)
+    monkeypatch.setattr(Tensor, "backward", spied_backward)
+    return log
+
+
+class TestKeptColumns:
+    def test_a_pass_gathers_only_for_the_convolutions_it_reruns(
+        self, gathers
+    ):
+        """Resumed at the classifier, a pass gathers no columns: its
+        backward reads the kept convolutions' own.  After a stem flip it
+        gathers each convolution's columns once, in the forward."""
+        model, x, y = build(0, 8)
+        convs = sorted(
+            id(m.weight) for m in model.modules() if isinstance(m, Conv2d)
+        )
+        memo = GradientMemo()
+        loss_and_grads(model, x, y, memo=memo)
+        assert sorted(id(w) for w, _ in gathers) == convs
+        gathers.clear()
+        model.fc.weight.data[0, 0] += 1.0
+        loss_and_grads(model, x, y, memo=memo)
+        assert gathers == []
+        model.stem_conv.weight.data[0, 0, 0, 0] += 1.0
+        loss_and_grads(model, x, y, memo=memo)
+        assert not any(inside for _, inside in gathers)
+        assert sorted(id(w) for w, _ in gathers) == convs
+        memo.clear()
+
+
+# ---------------------------------------------------------------------- #
 # Memory: one graph at a time
 # ---------------------------------------------------------------------- #
 
@@ -287,10 +347,12 @@ def traced_peak(run) -> int:
     return tracemalloc.get_traced_memory()[1] - base
 
 
-# What a memo pass may hold beyond a fresh pass's arrays: the memo's
-# keys (about 30 KB of small Python objects for this model) and views and
-# futures made in another order.  A graph, its non-leaf gradients or its
-# columns would be megabytes.
+# What a memo pass, the graph it kept included, may hold beyond a fresh
+# pass's arrays: the memo's keys (about 30 KB of small Python objects for
+# this model) and views and futures made in another order.  The kept
+# graph holds its convolutions' columns, as a fresh pass's graph does
+# until it is freed; a second graph, its non-leaf gradients or a second
+# set of columns would be megabytes.
 PYTHON_OBJECTS = 64 * 1024
 
 
