@@ -7,7 +7,9 @@ flipping them on the attacker's model copy, and commit the winner through a
 :class:`FlipExecutor` (software, analytical defense, or the full DRAM
 simulation).  Iteration stops when accuracy collapses to the target level or
 the flip budget is exhausted — matching Eq. 1's maximisation of loss under a
-minimal Hamming-distance budget.
+minimal Hamming-distance budget.  The loss is cross-entropy unless the
+search is given another objective: T-BFA (:mod:`repro.attacks.tbfa`)
+ascends its negated targeted loss through the same loop.
 
 Each forward pass runs once, and only when something reads it.  The
 gradient pass captures every forward segment's input, so a candidate's
@@ -33,7 +35,7 @@ candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -132,6 +134,11 @@ class BitFlipAttack:
             undefended software executor.
         eval_x / eval_y: held-out data for the reported accuracy curve;
             defaults to the attack batch.
+        objective: the loss the search ascends on the attack batch, a
+            callable ``(logits, labels) -> scalar Tensor`` given the
+            batch's logits and ``attack_y``; ``None`` (default) means
+            cross-entropy.  The gradient pass differentiates it and each
+            exact evaluation measures it.
     """
 
     def __init__(
@@ -145,11 +152,13 @@ class BitFlipAttack:
         eval_x: np.ndarray | None = None,
         eval_y: np.ndarray | None = None,
         skip_bit_positions: frozenset[int] | None = None,
+        objective: Callable[[Tensor, np.ndarray], Tensor] | None = None,
     ):
         self.qmodel = qmodel
         self.attack_x = attack_x
         self.attack_y = attack_y
         self.config = config or BfaConfig()
+        self.objective = objective
         self.skip = frozenset(skip or ())
         self.skip_bit_positions = frozenset(skip_bit_positions or ())
         if any(b < 0 or b > 7 for b in self.skip_bit_positions):
@@ -297,7 +306,9 @@ class BitFlipAttack:
         self.qmodel.flip_bit(location)
         with no_grad():
             logits = self.qmodel(x, start=start)
-            loss = F.cross_entropy(logits, self.attack_y).item()
+            loss = (self.objective or F.cross_entropy)(
+                logits, self.attack_y
+            ).item()
         self.qmodel.flip_bit(location)  # revert: restores the floats exactly
         return loss
 
@@ -320,7 +331,7 @@ class BitFlipAttack:
         # Also leaves the model in eval mode for the exact evaluations.
         loss_and_grads(
             self.qmodel.model, self.attack_x, self.attack_y, inputs=inputs,
-            memo=memo,
+            memo=memo, objective=self.objective,
         )
         if memo is None:
             champions, losses = {}, {}

@@ -132,7 +132,7 @@ class TbfaAttacker(Attacker):
         attack = TargetedBitFlipAttack(
             context.qmodel, attack_x, attack_y, config,
             executor=context.flip_executor(),
-            skip=set(context.protected_bits()) or None,
+            skip=context.protected_bits(),
         )
         result = attack.run()
         final = evaluate(context.qmodel.model, eval_x, eval_y)

@@ -7,26 +7,30 @@ rest of the model keeps working (a stealthier objective).  This module
 implements the "N-to-1" variant: all source-class samples should land in
 the target class.
 
-The search mirrors the untargeted BFA — gradient ranking plus exact
-evaluation — but optimises a targeted loss: minimise cross-entropy towards
-the target class on source-class samples while an auxiliary term preserves
-the remaining classes' behaviour.  DNN-Defender's protection argument is
-unchanged: the most damaging bits for *any* objective concentrate in the
-same high-gradient rows the profiler secures, and the defense blocks the
-flips physically, not by objective.
+The search is :class:`~repro.attacks.bfa.BitFlipAttack`'s, given another
+objective: it ascends the negated targeted loss, which is cross-entropy
+towards the target class on the source samples plus a term keeping the
+remaining samples' true classes, both from one forward of the whole
+batch (of the source samples alone when that term is off).
+DNN-Defender's protection argument is unchanged: the most damaging bits
+for *any* objective concentrate in the same high-gradient rows the
+profiler secures, and the defense blocks the flips physically, not by
+objective.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attacks.bfa import BitFlipAttack
-from repro.attacks.executor import FlipExecutor, SoftwareFlipExecutor
+from repro.attacks.bfa import BfaConfig, BitFlipAttack
+from repro.attacks.executor import FlipExecutor
 from repro.nn import functional as F
 from repro.nn.quant import BitLocation, QuantizedModel
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
+from repro.nn.train import evaluate
 
 __all__ = ["TbfaConfig", "TbfaResult", "TargetedBitFlipAttack"]
 
@@ -47,6 +51,8 @@ class TbfaConfig:
             raise ValueError("source and target classes must differ")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.exact_eval_top < 1:
+            raise ValueError("exact_eval_top must be >= 1")
         if not 0.0 < self.stop_success_rate <= 1.0:
             raise ValueError("stop_success_rate must be in (0, 1]")
 
@@ -76,7 +82,12 @@ class TbfaResult:
 
 
 class TargetedBitFlipAttack:
-    """N-to-1 targeted bit-flip attack over a quantized model."""
+    """N-to-1 targeted bit-flip attack over a quantized model.
+
+    ``search`` is the :class:`BitFlipAttack` that picks the flips, with
+    :meth:`_objective` as its objective; :meth:`run` iterates its
+    ``steps()`` until ``stop_success_rate`` is reached.
+    """
 
     def __init__(
         self,
@@ -89,9 +100,6 @@ class TargetedBitFlipAttack:
     ):
         self.qmodel = qmodel
         self.config = config
-        self.executor = executor or SoftwareFlipExecutor(qmodel)
-        self.skip = set(skip or ())
-        self.tried: set[BitLocation] = set()
         source_mask = attack_y == config.source_class
         if not source_mask.any():
             raise ValueError(
@@ -104,100 +112,52 @@ class TargetedBitFlipAttack:
         self.y_forced = np.full(
             self.x_source.shape[0], config.target_class, dtype=np.int64
         )
+        if config.preserve_weight <= 0:
+            # Only the source samples' logits count: forward only them.
+            attack_x, attack_y = self.x_source, attack_y[source_mask]
+        self.search = BitFlipAttack(
+            qmodel, attack_x, attack_y,
+            config=BfaConfig(
+                max_iterations=config.max_iterations,
+                exact_eval_top=config.exact_eval_top,
+            ),
+            skip=skip, executor=executor, objective=self._objective,
+        )
 
-    # ------------------------------------------------------------------ #
-    # Objective
-    # ------------------------------------------------------------------ #
-
-    def _targeted_loss(self, build_graph: bool) -> float:
-        """CE towards the target on source samples, plus a preservation
-        term on the remaining samples.  Populates grads when asked."""
-        model = self.qmodel.model
-        model.eval()
-        if build_graph:
-            model.zero_grad()
-            loss = self._loss_terms(model)
-            loss.backward()
-            return loss.item()
-        with no_grad():
-            return self._loss_terms(model).item()
-
-    def _loss_terms(self, model) -> Tensor:
-        loss = F.cross_entropy(model(Tensor(self.x_source)), self.y_forced)
+    def _objective(self, logits: Tensor, labels: np.ndarray) -> Tensor:
+        """The targeted loss of the attack batch's ``logits``, negated for
+        the search to ascend: cross-entropy towards the target on the
+        source samples, plus ``preserve_weight`` times cross-entropy on
+        the rest."""
+        source = labels == self.config.source_class
+        loss = F.cross_entropy(logits[source], self.y_forced)
         if self.x_other.shape[0] and self.config.preserve_weight > 0:
-            keep = F.cross_entropy(model(Tensor(self.x_other)), self.y_other)
+            keep = F.cross_entropy(logits[~source], labels[~source])
             loss = loss + keep * self.config.preserve_weight
-        return loss
+        return -loss
 
     def success_rate(self) -> float:
         """Fraction of source samples classified as the target class."""
-        with no_grad():
-            logits = self.qmodel(Tensor(self.x_source))
-        return float(
-            (logits.data.argmax(axis=1) == self.config.target_class).mean()
-        )
+        return evaluate(self.qmodel.model, self.x_source, self.y_forced)
 
     def other_accuracy(self) -> float:
         """Accuracy on the non-source part of the batch (stealth metric)."""
         if not self.x_other.shape[0]:
             return float("nan")
-        with no_grad():
-            logits = self.qmodel(Tensor(self.x_other))
-        return float((logits.data.argmax(axis=1) == self.y_other).mean())
-
-    # ------------------------------------------------------------------ #
-    # Search (descends the targeted loss)
-    # ------------------------------------------------------------------ #
-
-    def _select_flip(self) -> BitLocation | None:
-        self._targeted_loss(build_graph=True)
-        candidates: list[tuple[BitLocation, float]] = []
-        for layer_index in range(self.qmodel.num_layers):
-            layer = self.qmodel.layer(layer_index)
-            grad = layer.grad_flat().astype(np.float64)
-            deltas = BitFlipAttack._bit_deltas(layer.weight_int) * layer.scale
-            # Targeted attack *minimises* the loss: pick negative dL.
-            scores = grad[:, None] * deltas
-            order = np.argsort(scores, axis=None)
-            budget = 64 + len(self.skip) + len(self.tried)
-            for rank in range(min(order.size, budget)):
-                flat = int(order[rank])
-                index, bit = divmod(flat, 8)
-                score = float(scores.flat[flat])
-                if score >= 0:
-                    break
-                location = BitLocation(layer_index, index, bit)
-                if location in self.skip or location in self.tried:
-                    continue
-                candidates.append((location, score))
-                break
-        if not candidates:
-            return None
-        candidates.sort(key=lambda item: item[1])
-        best: tuple[BitLocation, float] | None = None
-        for location, _ in candidates[: self.config.exact_eval_top]:
-            self.qmodel.flip_bit(location)
-            loss = self._targeted_loss(build_graph=False)
-            self.qmodel.flip_bit(location)
-            if best is None or loss < best[1]:
-                best = (location, loss)
-        return best[0] if best else None
+        return evaluate(self.qmodel.model, self.x_other, self.y_other)
 
     def run(self) -> TbfaResult:
         result = TbfaResult(
             initial_success_rate=self.success_rate(),
             initial_other_accuracy=self.other_accuracy(),
         )
-        for _ in range(self.config.max_iterations):
-            location = self._select_flip()
-            if location is None:
-                break
-            self.tried.add(location)
-            result.attempts += 1
-            if self.executor.execute(location):
-                result.flips.append(location)
-            result.success_rate_history.append(self.success_rate())
-            result.other_accuracy_history.append(self.other_accuracy())
-            if result.final_success_rate >= self.config.stop_success_rate:
-                break
+        with closing(self.search.steps()) as steps:
+            for attempt in steps:
+                result.attempts += 1
+                if attempt.succeeded:
+                    result.flips.append(attempt.location)
+                result.success_rate_history.append(self.success_rate())
+                result.other_accuracy_history.append(self.other_accuracy())
+                if result.final_success_rate >= self.config.stop_success_rate:
+                    break
         return result

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
+from typing import Callable
 
 import numpy as np
 
@@ -296,16 +297,18 @@ class GradientMemo:
 
     A pass given a memo keys each link of ``model.segments()`` by
     content (:class:`_StateWalk`'s rules plus each parameter object's
-    identity) and the batch by its bytes.  The next pass on the same
-    model object then runs only what changed:
+    identity), the batch by its bytes and the objective by itself.  The
+    next pass on the same model object then runs only what changed:
 
     * nothing: it sets copies of the remembered gradients, hands out
       copies of the captured inputs and returns the remembered loss;
-    * from link ``k`` on (the labels alone count as link
-      ``len(segments)``): it drops the graph from ``k`` on, resumes the
-      forward from the output of link ``k - 1`` and backpropagates
-      through the whole graph, whose kept convolutions read the columns
-      they gathered in their forward.
+    * from link ``k`` on (the labels and the objective together count
+      as link ``len(segments)``, objectives compared by ``==``): it
+      drops the graph from ``k`` on, resumes the forward from the
+      output of link ``k - 1`` and backpropagates through the whole
+      graph, whose kept convolutions read the columns they gathered in
+      their forward.  A pass with another objective thus runs only the
+      loss and the backward.
 
     The kept graph is the one a fresh forward would build and the
     backward runs the same closures in the same order, so the loss,
@@ -334,7 +337,7 @@ class GradientMemo:
         self._ran_nothing = False
         self._model: Module | None = None
         self._links: list[_Link] = []
-        self._batch: tuple | None = None    # digests of x and y
+        self._batch: tuple | None = None    # x's digest; y's and the objective
         self._input: Tensor | None = None
         self._outputs: list[Tensor] = []
         self._grads: list[tuple[Parameter, np.ndarray | None]] = []
@@ -350,7 +353,8 @@ class GradientMemo:
         return len(links) + (batch[1] == self._batch[1])
 
     def _pass(
-        self, model: Module, x, y, inputs: list[np.ndarray] | None
+        self, model: Module, x, y, inputs: list[np.ndarray] | None,
+        objective,
     ) -> float:
         x, y = np.asarray(x), np.asarray(y)
         segments = model.segments()
@@ -363,9 +367,9 @@ class GradientMemo:
             )
             if link is None:
                 self.clear()
-                return _fresh_pass(model, x, y, inputs)
+                return _fresh_pass(model, x, y, inputs, objective)
             links.append(link)
-        batch = (_digest([x]), _digest([y]))
+        batch = (_digest([x]), (_digest([y]), objective))
         start = self._first_change(links, batch)
         self._model, self._links, self._batch = model, links, batch
         self._ran_nothing = start > len(segments)
@@ -384,7 +388,7 @@ class GradientMemo:
         for fn, _ in segments[start:]:
             out = fn(out)
             self._outputs.append(out)
-        loss = F.cross_entropy(out, y)
+        loss = objective(out, y)
         loss.backward()
         for node in loss.graph():
             if node._backward_fn is not None:
@@ -401,14 +405,14 @@ class GradientMemo:
 
 
 def _fresh_pass(
-    model: Module, x, y, inputs: list[np.ndarray] | None
+    model: Module, x, y, inputs: list[np.ndarray] | None, objective
 ) -> float:
     out = Tensor(x)
     for fn, _ in model.segments():
         if inputs is not None:
             inputs.append(out.data)
         out = fn(out)
-    loss = F.cross_entropy(out, y)
+    loss = objective(out, y)
     loss.backward()
     return loss.item()
 
@@ -417,6 +421,7 @@ def loss_and_grads(
     model: Module, x: np.ndarray, y: np.ndarray,
     inputs: list[np.ndarray] | None = None,
     memo: GradientMemo | None = None,
+    objective: Callable[[Tensor, np.ndarray], Tensor] | None = None,
 ) -> float:
     """Forward/backward pass in eval mode; returns the loss value.
 
@@ -432,13 +437,17 @@ def loss_and_grads(
     ``memo``, when given, runs only the part of the pass that the
     changes since the memo's last pass reach (:class:`GradientMemo`),
     with every result equal to a fresh pass's.
+
+    ``objective`` is the loss differentiated, a callable
+    ``(logits, y) -> scalar Tensor``; ``None`` means cross-entropy.
     """
+    objective = objective or F.cross_entropy
     model.eval()
     model.zero_grad()
     if memo is None:
-        return _fresh_pass(model, x, y, inputs)
+        return _fresh_pass(model, x, y, inputs, objective)
     try:
-        return memo._pass(model, x, y, inputs)
+        return memo._pass(model, x, y, inputs, objective)
     except BaseException:
         memo.clear()
         raise

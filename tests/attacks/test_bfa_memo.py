@@ -19,7 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import LogicalDefenseExecutor
+from repro.attacks import (
+    LogicalDefenseExecutor,
+    TargetedBitFlipAttack,
+    TbfaConfig,
+)
 from repro.attacks.bfa import BfaConfig, BitFlipAttack
 from repro.nn import BatchNorm2d, QuantizedModel, functional, make_resnet20
 from repro.nn.quant import BitLocation
@@ -219,6 +223,19 @@ class TestGraphLifetime:
                            stop_accuracy=1.0)
         steps = list(_attack(tiny_dataset, config=config).steps())
         assert len(steps) == 1   # every accuracy is <= 1.0
+        assert_all_gone(graphs)
+
+    def test_gone_after_a_targeted_early_stop(
+        self, graphs, fresh_quantized, tiny_dataset
+    ):
+        """T-BFA closes the search once its success rate is reached."""
+        x, y = tiny_dataset.attack_batch(128, np.random.default_rng(0))
+        config = TbfaConfig(source_class=0, target_class=1,
+                            max_iterations=15, exact_eval_top=4,
+                            stop_success_rate=0.8)
+        result = TargetedBitFlipAttack(fresh_quantized, x, y, config).run()
+        assert result.final_success_rate >= 0.8
+        assert result.attempts < config.max_iterations
         assert_all_gone(graphs)
 
     def test_gone_when_the_generator_is_closed(self, graphs, tiny_dataset):

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.attacks import (
+    AttackContext,
     LogicalDefenseExecutor,
+    SoftwareFlipExecutor,
     TargetedBitFlipAttack,
     TbfaConfig,
+    TbfaResult,
+    build_attacker,
 )
+from repro.attacks.bfa import BitFlipAttack
 from repro.dram import (
     CommandTrace,
     DramDevice,
@@ -16,11 +21,135 @@ from repro.dram import (
     RowAddress,
     TimingParams,
 )
+from repro.nn import functional as F
+from repro.nn.quant import BitLocation
+from repro.nn.tensor import Tensor, no_grad
+from repro.nn.train import loss_and_grads
 
 
 def attack_batch(dataset, n=128, seed=0):
     rng = np.random.default_rng(seed)
     return dataset.attack_batch(n, rng)
+
+
+class LoopOracle:
+    """T-BFA's own search loop from before it ran ``BitFlipAttack``'s:
+    a fresh gradient pass of the targeted loss every iteration (one
+    forward of the source samples, one of the rest), a full argsort of
+    every layer's scores, and two full forwards per exact evaluation.
+    The loop minimises the targeted loss itself."""
+
+    def __init__(self, qmodel, attack_x, attack_y, config, executor=None,
+                 skip=None):
+        self.qmodel = qmodel
+        self.config = config
+        self.executor = executor or SoftwareFlipExecutor(qmodel)
+        self.skip = set(skip or ())
+        self.tried = set()
+        source_mask = attack_y == config.source_class
+        self.x_source = attack_x[source_mask]
+        self.x_other = attack_x[~source_mask]
+        self.y_other = attack_y[~source_mask]
+        self.y_forced = np.full(
+            self.x_source.shape[0], config.target_class, dtype=np.int64
+        )
+
+    def _targeted_loss(self, build_graph):
+        model = self.qmodel.model
+        model.eval()
+        if build_graph:
+            model.zero_grad()
+            loss = self._loss_terms(model)
+            loss.backward()
+            return loss.item()
+        with no_grad():
+            return self._loss_terms(model).item()
+
+    def _loss_terms(self, model):
+        loss = F.cross_entropy(model(Tensor(self.x_source)), self.y_forced)
+        if self.x_other.shape[0] and self.config.preserve_weight > 0:
+            keep = F.cross_entropy(model(Tensor(self.x_other)), self.y_other)
+            loss = loss + keep * self.config.preserve_weight
+        return loss
+
+    def success_rate(self):
+        with no_grad():
+            logits = self.qmodel(Tensor(self.x_source))
+        return float(
+            (logits.data.argmax(axis=1) == self.config.target_class).mean()
+        )
+
+    def other_accuracy(self):
+        if not self.x_other.shape[0]:
+            return float("nan")
+        with no_grad():
+            logits = self.qmodel(Tensor(self.x_other))
+        return float((logits.data.argmax(axis=1) == self.y_other).mean())
+
+    def _select_flip(self):
+        self._targeted_loss(build_graph=True)
+        candidates = []
+        for layer_index in range(self.qmodel.num_layers):
+            layer = self.qmodel.layer(layer_index)
+            grad = layer.grad_flat().astype(np.float64)
+            deltas = BitFlipAttack._bit_deltas(layer.weight_int) * layer.scale
+            scores = grad[:, None] * deltas
+            order = np.argsort(scores, axis=None)
+            budget = 64 + len(self.skip) + len(self.tried)
+            for rank in range(min(order.size, budget)):
+                flat = int(order[rank])
+                index, bit = divmod(flat, 8)
+                score = float(scores.flat[flat])
+                if score >= 0:
+                    break
+                location = BitLocation(layer_index, index, bit)
+                if location in self.skip or location in self.tried:
+                    continue
+                candidates.append((location, score))
+                break
+        if not candidates:
+            return None
+        candidates.sort(key=lambda item: item[1])
+        best = None
+        for location, _ in candidates[: self.config.exact_eval_top]:
+            self.qmodel.flip_bit(location)
+            loss = self._targeted_loss(build_graph=False)
+            self.qmodel.flip_bit(location)
+            if best is None or loss < best[1]:
+                best = (location, loss)
+        return best[0] if best else None
+
+    def run(self):
+        result = TbfaResult(
+            initial_success_rate=self.success_rate(),
+            initial_other_accuracy=self.other_accuracy(),
+        )
+        for _ in range(self.config.max_iterations):
+            location = self._select_flip()
+            if location is None:
+                break
+            self.tried.add(location)
+            result.attempts += 1
+            if self.executor.execute(location):
+                result.flips.append(location)
+            result.success_rate_history.append(self.success_rate())
+            result.other_accuracy_history.append(self.other_accuracy())
+            if result.final_success_rate >= self.config.stop_success_rate:
+                break
+        return result
+
+
+class Recorder:
+    """Executor wrapper logging each attempt as ``(bit, landed)``."""
+
+    def __init__(self, executor):
+        self.executor = executor
+        self.log = []
+
+    def execute(self, location):
+        landed = self.executor.execute(location)
+        self.log.append((location, landed))
+        return landed
 
 
 class TestTbfaConfig:
@@ -33,6 +162,20 @@ class TestTbfaConfig:
             TbfaConfig(source_class=0, target_class=1, max_iterations=0)
         with pytest.raises(ValueError):
             TbfaConfig(source_class=0, target_class=1, stop_success_rate=0.0)
+        with pytest.raises(ValueError, match="exact_eval_top must be >= 1"):
+            TbfaConfig(source_class=0, target_class=1, exact_eval_top=0)
+
+    def test_registered_attacker_rejects_no_exact_evaluation(
+        self, fresh_quantized, tiny_dataset
+    ):
+        """With nothing exact-evaluated no flip can be picked; the
+        attacker says so instead of attempting none."""
+        context = AttackContext(
+            qmodel=fresh_quantized, dataset=tiny_dataset, budget=4,
+            params={"exact_eval_top": 0},
+        )
+        with pytest.raises(ValueError, match="exact_eval_top must be >= 1"):
+            build_attacker("tbfa").execute(context)
 
 
 class TestTargetedAttack:
@@ -88,15 +231,21 @@ class TestTargetedAttack:
     def test_targeted_loss_same_with_and_without_graph(
         self, fresh_quantized, tiny_dataset
     ):
+        """The objective is the targeted loss negated, whether the
+        gradient pass differentiates it or a forward without a graph
+        measures it."""
         x, y = attack_batch(tiny_dataset)
         attack = TargetedBitFlipAttack(
             fresh_quantized, x, y, TbfaConfig(source_class=0, target_class=1)
         )
-        params = [p for _, p in fresh_quantized.model.named_parameters()]
-        fresh_quantized.model.zero_grad()
-        plain = attack._targeted_loss(build_graph=False)
+        model = fresh_quantized.model
+        params = [p for _, p in model.named_parameters()]
+        model.zero_grad()
+        with no_grad():
+            plain = -attack._objective(fresh_quantized(Tensor(x)), y).item()
         assert all(p.grad is None for p in params)
-        assert attack._targeted_loss(build_graph=True) == plain
+        targeted = -loss_and_grads(model, x, y, objective=attack._objective)
+        assert targeted == plain
         assert any(p.grad is not None and p.grad.any() for p in params)
 
     def test_preservation_term_weighting(self, fresh_quantized,
@@ -105,16 +254,57 @@ class TestTargetedAttack:
         source = y == 0
 
         def loss(batch_x, batch_y, weight):
-            return TargetedBitFlipAttack(
+            attack = TargetedBitFlipAttack(
                 fresh_quantized, batch_x, batch_y,
                 TbfaConfig(source_class=0, target_class=1,
                            preserve_weight=weight),
-            )._targeted_loss(build_graph=False)
+            )
+            with no_grad():
+                logits = fresh_quantized(Tensor(batch_x))
+            return -attack._objective(logits, batch_y).item()
 
         # With no other-class samples there is no preservation term.
         source_only = loss(x[source], y[source], 1.0)
         assert loss(x, y, 0.0) == source_only
         assert loss(x, y, 1.0) > loss(x, y, 0.5) > source_only
+
+    @pytest.mark.parametrize("preserve_weight", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("top", [1, 6])
+    def test_same_search_as_the_old_loop(
+        self, quantized_factory, tiny_dataset, preserve_weight, top
+    ):
+        """Run through ``BitFlipAttack.steps()``, T-BFA attempts the bits
+        its own loop attempted, lands the same ones and measures the same
+        histories: undefended, with every other undefended pick blocked,
+        and skipping the remaining picks."""
+        x, y = attack_batch(tiny_dataset, n=64, seed=1)
+        config = TbfaConfig(
+            source_class=0, target_class=1, max_iterations=5,
+            exact_eval_top=top, preserve_weight=preserve_weight,
+        )
+
+        def search(cls, blocked=(), skip=()):
+            qmodel = quantized_factory()
+            recorder = Recorder(
+                LogicalDefenseExecutor(qmodel, blocked) if blocked
+                else SoftwareFlipExecutor(qmodel)
+            )
+            result = cls(
+                qmodel, x, y, config, executor=recorder, skip=set(skip)
+            ).run()
+            return recorder.log, (
+                result.initial_success_rate, result.initial_other_accuracy,
+                result.success_rate_history, result.other_accuracy_history,
+            )
+
+        picks = [bit for bit, _ in search(LoopOracle)[0]]
+        assert len(picks) > 1
+        for blocked, skip in (((), ()), (picks[::2], ()), ((), picks[1::2])):
+            expected = search(LoopOracle, blocked, skip)
+            assert search(TargetedBitFlipAttack, blocked, skip) == expected
+            attempts = expected[0]
+            assert any(not landed for _, landed in attempts) == bool(blocked)
+            assert not {bit for bit, _ in attempts} & set(skip)
 
 
 class TestCommandTrace:

@@ -223,9 +223,9 @@ class TestGradientParity:
         assert actual == expected
 
     def test_each_weight_used_twice(self):
-        """T-BFA's ``source + keep * preserve_weight``: two forwards
-        through the same weights, so each conv weight gets two worker
-        contributions in one backward."""
+        """``loss + keep * 0.5`` from two forwards through the same
+        weights, so each conv weight gets two worker contributions in one
+        backward."""
         xa, ya = batch(8, seed=3)
         xb, yb = batch(12, seed=4)
 

@@ -227,7 +227,7 @@ class TestForwardBackwardParity:
 
     def test_interleaved_forwards_before_backward(self):
         """Two same-shape graphs built before either backward must not
-        share column buffers (the tbfa targeted loss does exactly this)."""
+        share column buffers."""
         rng = np.random.default_rng(11)
         xa = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
         xb = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)

@@ -60,10 +60,12 @@ class Spy:
         self.losses = 0
 
 
-def pass_result(model, x, y, memo=None):
+def pass_result(model, x, y, memo=None, objective=None):
     """Loss, every gradient's bytes and every captured input's bytes."""
     inputs = []
-    loss = loss_and_grads(model, x, y, inputs=inputs, memo=memo)
+    loss = loss_and_grads(
+        model, x, y, inputs=inputs, memo=memo, objective=objective
+    )
     grads = [
         (name, None if p.grad is None else p.grad.tobytes())
         for name, p in model.named_parameters()
@@ -266,6 +268,30 @@ class TestExactness:
         assert memo.ran_nothing
         memo.clear()
         assert not memo.ran_nothing
+
+    def test_another_objective_reruns_only_the_loss(self, monkeypatch):
+        """A pass with another objective equals a fresh pass with it and
+        runs no segment: the logits are the kept graph's."""
+        model, x, y = build(2, 8)
+        spy = Spy(model, monkeypatch)
+
+        def targeted(logits, labels):
+            source = labels == labels[0]
+            return -functional.cross_entropy(
+                logits[source], np.ones(source.sum(), dtype=np.int64)
+            )
+
+        memo = GradientMemo()
+        pass_result(model, x, y, memo)
+        for objective in (targeted, None, targeted):
+            spy.reset()
+            memoized, _ = pass_result(model, x, y, memo, objective)
+            assert spy.segments == []
+            assert not memo.ran_nothing
+            assert memoized == pass_result(model, x, y, objective=objective)[0]
+        pass_result(model, x, y, memo, targeted)
+        assert memo.ran_nothing
+        memo.clear()
 
     def test_another_model_means_a_fresh_pass(self):
         memo = GradientMemo()
